@@ -155,14 +155,10 @@ class ProductBasisResult:
 
 def _schmidt_factors(vec: np.ndarray, dim_a: int, dim_b: int) -> tuple[float, np.ndarray, np.ndarray]:
     """Second Schmidt coefficient and the dominant product factors of a vector."""
-    m = vec.reshape(dim_a, dim_b)
-    w, v = hermitian_eigensystem(m @ m.conj().T)
-    a = v[:, -1]
-    b_raw = a.conj() @ m
-    nb = float(np.linalg.norm(b_raw))
-    b = b_raw / nb if nb > 0.0 else np.eye(dim_b, dtype=complex)[0]
-    c2 = math.sqrt(max(0.0, 1.0 - min(1.0, float(w[-1]))))
-    return c2, a, b
+    # the singular value itself, not sqrt(1 - s0^2), which would lift ~1e-16
+    # of roundoff to ~1e-8 and fail the tol.schmidt test on product vectors
+    u, s, vh = np.linalg.svd(vec.reshape(dim_a, dim_b))
+    return float(s[1]), u[:, 0], vh[0]
 
 
 def _product_vector_in_subspace(
@@ -380,6 +376,8 @@ def assumed_exact_values(rho: DensityOperator, tol: Tolerances = DEFAULT) -> Ass
     result is flagged accordingly. Pure states are guarded out: their surplus
     is exactly zero and their single point comes from formation_point.
     """
+    if (rho.dim_a, rho.dim_b) != (2, 2):
+        raise NotApplicable(f"two-qubit closed form, got dims ({rho.dim_a}, {rho.dim_b})")
     if rho.purity() >= 1.0 - tol.purity:
         raise NotApplicable("pure state: the surplus vanishes identically")
     status = product_eigenbasis_check(rho, tol).status

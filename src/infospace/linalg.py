@@ -1,11 +1,9 @@
 """Dense complex-Hermitian linear algebra on small bipartite systems.
 
-Everything here is a pure function on immutable inputs; the eigensolver is a
-self-contained cyclic complex Jacobi iteration, robust for the d <= 64
-matrices this package works with.
+Everything here is a pure function on immutable inputs; eigensystems come from
+LAPACK's Hermitian solver, each one checked against its eigenpair residual.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +32,7 @@ class NotPositive(ValidationError):
 
 
 class EigenConvergenceError(RuntimeError):
-    """Jacobi sweep cap reached before the off-diagonal mass converged."""
+    """The eigensolver failed, or an eigenpair residual exceeded its tolerance."""
 
 
 def check_matrix(m) -> np.ndarray:
@@ -152,46 +150,15 @@ def partial_transpose(rho: DensityOperator, side) -> np.ndarray:
     return np.ascontiguousarray(out.reshape(rho.dim, rho.dim))
 
 
-def _off_diagonal_mass(a: np.ndarray) -> float:
-    off = a - np.diag(np.diagonal(a))
-    return float(np.linalg.norm(off))
-
-
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Zero a[p, q] with a unitary two-plane rotation, updating a and v in place."""
-    g = a[p, q]
-    mag = abs(g)
-    if mag == 0.0:
-        return
-    phase = g / mag
-    tau = (a[p, p].real - a[q, q].real) / (2.0 * mag)
-    t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    # a <- U^dag a U with U[p,p]=c, U[p,q]=-s*phase, U[q,p]=s*conj(phase), U[q,q]=c
-    colp = a[:, p].copy()
-    colq = a[:, q].copy()
-    a[:, p] = c * colp + s * np.conj(phase) * colq
-    a[:, q] = -s * phase * colp + c * colq
-    rowp = a[p, :].copy()
-    rowq = a[q, :].copy()
-    a[p, :] = c * rowp + s * phase * rowq
-    a[q, :] = -s * np.conj(phase) * rowp + c * rowq
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp + s * np.conj(phase) * vq
-    v[:, q] = -s * phase * vp + c * vq
-
-
 def hermitian_eigensystem(m, tol: Tolerances = DEFAULT) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (real, ascending) and orthonormal eigenvector columns.
 
-    Cyclic complex Jacobi sweeps; converged once the off-diagonal Frobenius
-    mass drops below ``tol.jacobi_off_mass``. Raises
-    :class:`EigenConvergenceError` if the sweep cap is exhausted first and
-    :class:`NotHermitian` for inputs outside the Hermiticity tolerance.
+    LAPACK's Hermitian solver (``numpy.linalg.eigh``) on the Hermitian part of
+    the input, certified a posteriori: every eigenpair must satisfy
+    ``max|M v - v lambda| <= tol.eigen_residual``. Raises
+    :class:`EigenConvergenceError` if LAPACK fails or the certificate does not
+    hold, and :class:`NotHermitian` for inputs outside the Hermiticity
+    tolerance.
     """
     a = check_matrix(m)
     d = a.shape[0]
@@ -201,22 +168,16 @@ def hermitian_eigensystem(m, tol: Tolerances = DEFAULT) -> tuple[np.ndarray, np.
     if residual > tol.hermiticity:
         raise NotHermitian(residual)
     a = (a + a.conj().T) / 2.0  # scrub roundoff asymmetry
-    v = np.eye(d, dtype=complex)
-    converged = False
-    for _ in range(tol.jacobi_max_sweeps):
-        if _off_diagonal_mass(a) < tol.jacobi_off_mass:
-            converged = True
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                _jacobi_rotate(a, v, p, q)
-    if not converged and _off_diagonal_mass(a) >= tol.jacobi_off_mass:
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(f"LAPACK eigensolver failed: {exc}") from exc
+    eig_residual = float(np.max(np.abs(a @ v - v * w))) if d else 0.0
+    if eig_residual > tol.eigen_residual:
         raise EigenConvergenceError(
-            f"Jacobi iteration did not converge within {tol.jacobi_max_sweeps} sweeps"
+            f"eigenpair residual {eig_residual:.3g} exceeds {tol.eigen_residual:.3g}"
         )
-    w = a.diagonal().real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], np.ascontiguousarray(v[:, order])
+    return w, v
 
 
 def validate_density(m, dim_a: int, dim_b: int, tol: Tolerances = DEFAULT) -> DensityOperator:
@@ -272,7 +233,10 @@ def support_projector(m, tol: Tolerances = DEFAULT) -> np.ndarray:
 
 
 def schmidt_coefficients(psi: PureState, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Schmidt coefficients of a bipartite pure state, descending."""
-    reduced = partial_trace(psi.projector(), "A")
-    w, _ = hermitian_eigensystem(reduced.matrix, tol)
-    return np.sqrt(np.clip(w, 0.0, 1.0))[::-1]
+    """Schmidt coefficients of a bipartite pure state, descending.
+
+    The singular values of the amplitudes as a dim_a x dim_b matrix, padded
+    with zeros to length dim_a.
+    """
+    s = np.linalg.svd(psi.amplitudes.reshape(psi.dim_a, psi.dim_b), compute_uv=False)
+    return np.concatenate([s, np.zeros(psi.dim_a - s.size)])

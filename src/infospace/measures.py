@@ -84,27 +84,27 @@ def concurrence_2q(rho: DensityOperator, tol: Tolerances = DEFAULT) -> float:
     """Wootters concurrence of a two-qubit state.
 
     The spin-flip spectrum of rho (Y(x)Y) rho* (Y(x)Y) equals the singular
-    values of A^T (Y(x)Y) A for any square root A of rho. Reading those off a
-    Hermitian embedding keeps absolute accuracy near rank-deficient states,
-    where taking square roots of near-zero eigenvalues would amplify noise.
+    values of A^T (Y(x)Y) A for any square root A of rho. Taking those
+    singular values directly keeps absolute accuracy near rank-deficient
+    states, where taking square roots of near-zero eigenvalues would amplify
+    noise.
     """
     _require_two_qubits(rho)
     w, v = hermitian_eigensystem(rho.matrix, tol)
     root = v * np.sqrt(np.clip(w, 0.0, None))
-    tau = root.T @ _YY @ root
-    embed = np.zeros((8, 8), dtype=complex)
-    embed[:4, 4:] = tau
-    embed[4:, :4] = tau.conj().T
-    lam, _ = hermitian_eigensystem(embed, tol)
-    sig = lam[::-1][:4]  # embedding eigenvalues come in +/- singular-value pairs
+    sig = np.linalg.svd(root.T @ _YY @ root, compute_uv=False)  # descending
     c = float(sig[0] - sig[1] - sig[2] - sig[3])
     return min(1.0, max(0.0, c))
 
 
+def _eof_from_concurrence(c: float) -> float:
+    """Wootters closed form E_F = H(1/2 + sqrt(1 - C^2)/2)."""
+    return binary_entropy(0.5 + 0.5 * math.sqrt(max(0.0, 1.0 - c * c)))
+
+
 def eof_2q(rho: DensityOperator, tol: Tolerances = DEFAULT) -> float:
     """Entanglement of formation from the concurrence closed form."""
-    c = concurrence_2q(rho, tol)
-    return binary_entropy(0.5 + 0.5 * math.sqrt(max(0.0, 1.0 - c * c)))
+    return _eof_from_concurrence(concurrence_2q(rho, tol))
 
 
 def bell_mixture_ec(p: float) -> float:
@@ -137,7 +137,7 @@ def measure_report(rho: DensityOperator, tol: Tolerances = DEFAULT) -> MeasureRe
     conc = eof = None
     if (rho.dim_a, rho.dim_b) == (2, 2):
         conc = concurrence_2q(rho, tol)
-        eof = eof_2q(rho, tol)
+        eof = _eof_from_concurrence(conc)
     pt_eigs, _ = hermitian_eigensystem(partial_transpose(rho, "B"), tol)
     return MeasureReport(
         n=n,

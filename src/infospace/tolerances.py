@@ -15,8 +15,6 @@ class Tolerances:
     norm: float = 1e-10               # | ||psi||^2 - 1 | for state vectors
     positivity_floor: float = -1e-9   # smallest admissible eigenvalue
     eigen_residual: float = 1e-9      # |M v - lambda v| per eigenpair; also degeneracy gap
-    jacobi_off_mass: float = 1e-13    # off-diagonal Frobenius mass at convergence
-    jacobi_max_sweeps: int = 100
     support_cutoff: float = 1e-10     # eigenvalue > cutoff counts toward the support
     overlap: float = 1e-9             # support-projector overlap certification
     schmidt: float = 1e-9             # second Schmidt coefficient of a product vector

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -6,6 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import infospace
 from infospace import bell_mixture, ensemble_to_dict, load_state
 from infospace.cli import main
 from helpers import split_decomposition
@@ -302,7 +304,11 @@ class TestCliContract:
             "--steps",
             "45",
         ]
-        first = subprocess.run(cmd, capture_output=True, check=True)
-        second = subprocess.run(cmd, capture_output=True, check=True)
+        # the child imports the same infospace as this process, installed or not
+        src = os.path.dirname(os.path.dirname(infospace.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        first = subprocess.run(cmd, capture_output=True, check=True, env=env)
+        second = subprocess.run(cmd, capture_output=True, check=True, env=env)
         assert first.stdout == second.stdout
         assert first.stdout.decode().strip().endswith("# divergence_flag=true")

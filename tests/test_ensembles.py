@@ -28,7 +28,7 @@ from infospace import (
     validate_density,
     von_neumann_entropy,
 )
-from helpers import BELL_MINUS, BELL_PLUS, KET_00, KET_11, split_decomposition
+from helpers import BELL_MINUS, BELL_PLUS, KET_00, KET_11, random_unitary, split_decomposition
 
 H_QUARTER = 0.8112781244591328
 
@@ -138,6 +138,20 @@ class TestProductEigenbasis:
         with pytest.raises(ValueError, match="two-qubit"):
             product_eigenbasis_check(DensityOperator(np.eye(6) / 6, 2, 3))
 
+    def test_locally_rotated_diagonal_states(self):
+        # (U_a (x) U_b) diag(p) (U_a (x) U_b)^dag has a product eigenbasis by
+        # construction; testing sqrt(1 - lambda_max) of the eigenvectors against
+        # tol.schmidt turned eigensolver roundoff into a NO for most of them
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            p = np.sort(rng.dirichlet(np.ones(4)))
+            assert np.min(np.diff(p)) > 1e-6  # nondegenerate, as the probe intends
+            u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+            rho = validate_density((u * p) @ u.conj().T, 2, 2)
+            assert product_eigenbasis_check(rho).status is ProductBasis.PRODUCT
+            with pytest.raises(NotApplicable):
+                assumed_exact_values(rho)
+
 
 class TestFormationPoint:
     def test_split_decomposition_quarter(self):
@@ -237,6 +251,10 @@ class TestAssumedExactValues:
     def test_pure_entangled_guarded(self):
         with pytest.raises(NotApplicable):
             assumed_exact_values(PureState(BELL_PLUS, 2, 2).projector())
+
+    def test_larger_dims_not_applicable(self):
+        with pytest.raises(NotApplicable):
+            assumed_exact_values(validate_density(np.eye(16) / 16, 4, 4))
 
 
 class TestEnsembleJson:

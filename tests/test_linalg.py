@@ -1,5 +1,6 @@
 import dataclasses
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -19,8 +20,22 @@ from infospace import (
     spectrum_probabilities,
     tensor_product,
     validate_density,
+    von_neumann_entropy,
 )
-from helpers import BELL_PLUS, random_density_matrix, random_hermitian, random_state_vector
+from infospace.cli import main
+from helpers import (
+    BELL_PLUS,
+    random_density_matrix,
+    random_hermitian,
+    random_state_vector,
+    random_unitary,
+)
+
+
+def mp_eigenvalues(m) -> list:
+    """Eigenvalues of an exactly Hermitian float matrix at 40 digits, ascending."""
+    with mp.workdps(40):
+        return sorted(mp.eigh(mp.matrix(m.tolist()), eigvals_only=True))
 
 
 class TestTensorProduct:
@@ -154,17 +169,49 @@ class TestEigensystem:
             assert np.max(np.abs((v * w) @ v.conj().T - m)) < 1e-8
             assert np.max(np.abs(m @ v - v * w)) < 1e-9
             assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) < 1e-9
-            # LAPACK as an independent oracle on the spectrum
-            assert np.max(np.abs(w - np.linalg.eigvalsh(m))) < 1e-10
+            # mpmath at 40 digits as an independent oracle on the spectrum
+            exact = np.array([float(x) for x in mp_eigenvalues(m)])
+            assert np.max(np.abs(w - exact)) < 1e-12
+
+    @pytest.mark.parametrize("dim", [4, 8, 16])
+    @pytest.mark.parametrize("small", [0.0, 1e-14, 1e-10])
+    def test_low_rank_entropy_matches_mpmath(self, dim, small):
+        # near-pure and rank-deficient spectra, where only the absolute accuracy
+        # of the smallest eigenvalues decides the entropy
+        u = random_unitary(np.random.default_rng(dim), dim)
+        for head in ([1.0], [0.6, 0.4]):
+            p = np.zeros(dim)
+            p[: len(head)] = head
+            p[0] -= small
+            p[len(head)] = small
+            m = (u * p) @ u.conj().T
+            m = (m + m.conj().T) / 2
+            with mp.workdps(40):
+                # the package's convention: eigenvalues <= zero_eigenvalue count as 0
+                kept = [x for x in mp_eigenvalues(m) if x > DEFAULT.zero_eigenvalue]
+                exact = float(-mp.fsum(x * mp.log(x, 2) for x in kept))
+            got = von_neumann_entropy(DensityOperator(m, 2, dim // 2))
+            assert abs(got - exact) < 1e-13
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_sweep_cap(self):
-        strict = dataclasses.replace(DEFAULT, jacobi_max_sweeps=0)
+    def test_residual_certificate_fires(self):
+        strict = dataclasses.replace(DEFAULT, eigen_residual=1e-30)
+        m = random_hermitian(np.random.default_rng(37), 8)
+        with pytest.raises(EigenConvergenceError, match="residual"):
+            hermitian_eigensystem(m, strict)
+
+    def test_lapack_failure_is_a_convergence_error(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(EigenConvergenceError):
-            hermitian_eigensystem(np.array([[0.0, 1.0], [1.0, 0.0]]), strict)
+            hermitian_eigensystem(np.eye(2))
+        assert main(["entropy", "--family", "bell-mixture", "--p", "0.25"]) == 2
+        assert "did not converge" in capsys.readouterr().err
 
 
 class TestValidateDensity:
@@ -245,3 +292,16 @@ class TestStateTypes:
         psi = PureState(np.array([np.sqrt(0.9), 0, 0, np.sqrt(0.1)]), 2, 2)
         coeffs = schmidt_coefficients(psi)
         assert np.max(np.abs(coeffs**2 - [0.9, 0.1])) < 1e-12
+
+    def test_schmidt_coefficients_resolve_tiny_values(self):
+        # locally rotated near-product states: square roots of reduced-state
+        # eigenvalues would lift the 1e-12 coefficient to roundoff size ~1e-8
+        rng = np.random.default_rng(41)
+        c = 1e-12
+        for dim_a, dim_b in ((2, 2), (4, 2)):
+            core = np.zeros(dim_a * dim_b)
+            core[0], core[dim_b + 1] = np.sqrt(1.0 - c * c), c
+            u = np.kron(random_unitary(rng, dim_a), random_unitary(rng, dim_b))
+            coeffs = schmidt_coefficients(PureState(u @ core, dim_a, dim_b))
+            assert coeffs.shape == (dim_a,)
+            assert np.max(np.abs(coeffs - np.pad([1.0, c], (0, dim_a - 2)))) < 1e-14

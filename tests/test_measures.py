@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import infospace.measures
 from infospace import (
     DensityOperator,
     PureState,
@@ -286,6 +287,19 @@ class TestMeasureReport:
             assert 0.0 <= rep.s_total <= rep.n + 1e-9
             assert 0.0 <= rep.s_a <= 1.0 + 1e-9
             assert 0.0 <= rep.s_b <= 1.0 + 1e-9
+
+    def test_concurrence_evaluated_once(self, monkeypatch):
+        calls = []
+        concurrence = infospace.measures.concurrence_2q
+
+        def counted(rho, tol):
+            calls.append(rho)
+            return concurrence(rho, tol)
+
+        monkeypatch.setattr(infospace.measures, "concurrence_2q", counted)
+        rep = measure_report(bell_mixture(0.25))
+        assert len(calls) == 1
+        assert rep.eof == pytest.approx(EC_QUARTER, abs=1e-9)
 
     def test_larger_dims_skip_two_qubit_fields(self):
         rho = DensityOperator(np.eye(8) / 8, 2, 4)
