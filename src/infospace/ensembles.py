@@ -6,6 +6,7 @@ to an ancilla and reset, all by local means) is not decidable here. A positive
 certificate is sound, a negative one is inconclusive.
 """
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -23,9 +24,6 @@ from .linalg import (
 )
 from .measures import eof_2q, pure_state_entanglement, von_neumann_entropy
 from .tolerances import DEFAULT, Tolerances
-
-_SEARCH_SEED = 20608  # fixed so repeated runs certify identically
-_MEMBERSHIP_TOL = 1e-10  # 1 - <ab|P|ab> for a product vector to count as inside
 
 # Bell basis columns: (|00>+|11>)/sqrt2, (|00>-|11>)/sqrt2, (|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2
 _BELL_BASIS = np.array(
@@ -138,12 +136,11 @@ def local_orthogonality_check(e: Ensemble, tol: Tolerances = DEFAULT) -> LocalOr
 class ProductBasis(enum.Enum):
     PRODUCT = "product"
     NO = "no"
-    INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
 class ProductBasisResult:
-    """Verdict plus, when found, the product eigenbasis itself.
+    """Verdict plus, for PRODUCT, the product eigenbasis itself.
 
     ``basis`` holds (eigenvalue, a_factor, b_factor) triples covering the
     whole space, eigenspace by eigenspace.
@@ -153,74 +150,59 @@ class ProductBasisResult:
     basis: tuple[tuple[float, np.ndarray, np.ndarray], ...] | None = None
 
 
-def _schmidt_factors(vec: np.ndarray, dim_a: int, dim_b: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """Second Schmidt coefficient and the dominant product factors of a vector."""
+def _schmidt_factors(vec: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Second Schmidt coefficient and the dominant product factors of a two-qubit vector."""
     # the singular value itself, not sqrt(1 - s0^2), which would lift ~1e-16
     # of roundoff to ~1e-8 and fail the tol.schmidt test on product vectors
-    u, s, vh = np.linalg.svd(vec.reshape(dim_a, dim_b))
+    u, s, vh = np.linalg.svd(vec.reshape(2, 2))
     return float(s[1]), u[:, 0], vh[0]
 
 
-def _product_vector_in_subspace(
-    proj: np.ndarray, dim_a: int, dim_b: int, rng, restarts: int, convergence: float
-):
-    """Alternating maximization of the top Schmidt overlap with a subspace.
+def _qubit_complement(x: np.ndarray) -> np.ndarray:
+    """The unit qubit vector orthogonal to ``x``."""
+    return np.array([-x[1].conjugate(), x[0].conjugate()])
 
-    Returns (a, b) with a (x) b inside the subspace within tolerance, or None
-    if no restart certifies membership.
+
+def _product_pair(v1: np.ndarray, v2: np.ndarray, tol: Tolerances):
+    """Orthonormal product basis of span{v1, v2} in C^2 (x) C^2, or None.
+
+    The product vectors x v1 + y v2 are the roots [x:y] of the binary
+    quadratic det(x M1 + y M2) = qa x^2 + qb xy + qc y^2, with M the vector
+    reshaped to 2x2. A form that vanishes identically means the span is
+    a (x) C^2 or C^2 (x) b, where every vector, v1 and v2 included, is
+    product. Otherwise the span holds at most two product directions, and it
+    has a product basis exactly when they are orthogonal.
     """
-    p4 = proj.reshape(dim_a, dim_b, dim_a, dim_b)
-    for start in range(restarts):
-        if start == 0:
-            b = np.zeros(dim_b, dtype=complex)
-            b[0] = 1.0
-        else:
-            raw = rng.normal(size=dim_b) + 1j * rng.normal(size=dim_b)
-            b = raw / np.linalg.norm(raw)
-        value = -1.0
-        a = np.zeros(dim_a, dtype=complex)
-        for _ in range(200):
-            m_a = np.einsum("j,ijkl,l->ik", b.conj(), p4, b)
-            w, v = hermitian_eigensystem((m_a + m_a.conj().T) / 2.0)
-            a = v[:, -1]
-            m_b = np.einsum("i,ijkl,k->jl", a.conj(), p4, a)
-            w, v = hermitian_eigensystem((m_b + m_b.conj().T) / 2.0)
-            b = v[:, -1]
-            new_value = float(w[-1])
-            if abs(new_value - value) < convergence:
-                value = new_value
-                break
-            value = new_value
-        if 1.0 - value <= _MEMBERSHIP_TOL:
-            return a, b
-    return None
-
-
-def _product_basis_of_subspace(
-    columns: np.ndarray, dim_a: int, dim_b: int, rng, restarts: int = 32, convergence: float = 1e-12
-):
-    """Orthonormal product basis of the span of the given columns, or None."""
-    proj = columns @ columns.conj().T
-    found = []
-    for _ in range(columns.shape[1]):
-        hit = _product_vector_in_subspace(proj, dim_a, dim_b, rng, restarts, convergence)
-        if hit is None:
-            return None
-        a, b = hit
-        u = proj @ np.kron(a, b)
-        u = u / np.linalg.norm(u)  # deflate along the in-subspace representative
-        proj = proj - np.outer(u, u.conj())
-        found.append((a, b))
-    return found
+    m1, m2 = v1.reshape(2, 2), v2.reshape(2, 2)
+    qa = m1[0, 0] * m1[1, 1] - m1[0, 1] * m1[1, 0]
+    qc = m2[0, 0] * m2[1, 1] - m2[0, 1] * m2[1, 0]
+    qb = m1[0, 0] * m2[1, 1] + m2[0, 0] * m1[1, 1] - m1[0, 1] * m2[1, 0] - m2[0, 1] * m1[1, 0]
+    # |det M| = s1 s2 for a unit vector: the coefficients live on the Schmidt scale
+    if max(abs(qa), abs(qb), abs(qc)) <= tol.schmidt:
+        return [_schmidt_factors(v)[1:] for v in (v1, v2)]
+    # homogeneous roots [t : qa] and [qc : t] with t^2 + qb t + qa qc = 0;
+    # the sign keeps qb and the discriminant root from cancelling
+    d = cmath.sqrt(qb * qb - 4.0 * qa * qc)
+    if (qb.conjugate() * d).real < 0.0:
+        d = -d
+    t = -(qb + d) / 2.0
+    r1, r2 = t * v1 + qa * v2, qc * v1 + t * v2
+    n1, n2 = float(np.linalg.norm(r1)), float(np.linalg.norm(r2))
+    # a double root leaves one product direction (the other root vector is 0)
+    if n1 * n2 == 0.0 or abs(complex(np.vdot(r1, r2))) > tol.overlap * n1 * n2:
+        return None
+    return [_schmidt_factors(r / n)[1:] for r, n in ((r1, n1), (r2, n2))]
 
 
 def product_eigenbasis_check(rho: DensityOperator, tol: Tolerances = DEFAULT) -> ProductBasisResult:
     """Decide whether a two-qubit state has an orthonormal product eigenbasis.
 
-    Nondegenerate eigenvectors are tested directly by Schmidt rank; an
-    entangled one settles the answer as NO. Degenerate eigenspaces are
-    searched for a product basis by alternating maximization with deflation;
-    a failed search leaves that space, and so the verdict, INCONCLUSIVE.
+    The decision is exact, eigenspace by eigenspace (2 (x) 2 has no
+    unextendible product bases): a 1-dim eigenspace by the Schmidt rank of
+    its vector, a 2-dim one by the roots of a binary quadratic (see
+    ``_product_pair``), a 3-dim one by its 1-dim complement, and the 4-dim
+    space always has the computational basis. The verdict is PRODUCT, with
+    the basis, or NO.
     """
     if (rho.dim_a, rho.dim_b) != (2, 2):
         raise ValueError(f"product-eigenbasis check needs a two-qubit state, got dims "
@@ -232,27 +214,27 @@ def product_eigenbasis_check(rho: DensityOperator, tol: Tolerances = DEFAULT) ->
             groups[-1].append(k)
         else:
             groups.append([k])
-    rng = np.random.default_rng(_SEARCH_SEED)
     basis: list[tuple[float, np.ndarray, np.ndarray]] = []
-    inconclusive = False
-    pending: list[tuple[list[int], float]] = []
     for group in groups:
-        mean_val = float(np.mean(w[group]))
         if len(group) == 1:
-            c2, a, b = _schmidt_factors(v[:, group[0]], rho.dim_a, rho.dim_b)
+            c2, a, b = _schmidt_factors(v[:, group[0]])
             if c2 > tol.schmidt:
                 return ProductBasisResult(ProductBasis.NO)
-            basis.append((mean_val, a, b))
-        else:
-            pending.append((group, mean_val))
-    for group, mean_val in pending:
-        found = _product_basis_of_subspace(v[:, group], rho.dim_a, rho.dim_b, rng)
-        if found is None:
-            inconclusive = True
-            continue
-        basis.extend((mean_val, a, b) for a, b in found)
-    if inconclusive:
-        return ProductBasisResult(ProductBasis.INCONCLUSIVE)
+            basis.append((float(w[group[0]]), a, b))
+    for group in groups:
+        mean_val = float(np.mean(w[group]))
+        if len(group) == 2:
+            pair = _product_pair(v[:, group[0]], v[:, group[1]], tol)
+            if pair is None:
+                return ProductBasisResult(ProductBasis.NO)
+            basis.extend((mean_val, a, b) for a, b in pair)
+        elif len(group) == 3:
+            _, a, b = basis[0]  # the 1-dim complement, product by now
+            a_perp, b_perp = _qubit_complement(a), _qubit_complement(b)
+            basis.extend((mean_val, x, y) for x, y in ((a_perp, b), (a, b_perp), (a_perp, b_perp)))
+        elif len(group) == 4:
+            e = np.eye(2, dtype=complex)
+            basis.extend((mean_val, e[i], e[j]) for i in range(2) for j in range(2))
     return ProductBasisResult(ProductBasis.PRODUCT, tuple(basis))
 
 

@@ -144,9 +144,12 @@ def classify(rho: DensityOperator, tol: Tolerances = DEFAULT) -> Classification:
     """Coarse taxonomy: pure product/entangled, classically correlated, NPT/PPT.
 
     Purity is decided first; mixed two-qubit states are then split by the
-    product-eigenbasis structure and the partial-transpose spectrum. Beyond
-    two qubits the partial-transpose evidence is still reported but only the
-    Pure*/Mixed* categories are assigned.
+    product-eigenbasis structure and the partial-transpose spectrum. The
+    product-eigenbasis evidence is the exact verdict of
+    ``product_eigenbasis_check``, "product" or "no"; it reads "not-checked"
+    for pure states and beyond two qubits. Beyond two qubits the
+    partial-transpose evidence is still reported but only the Pure*/Mixed*
+    categories are assigned.
     """
     purity = rho.purity()
     pt_eigs, _ = hermitian_eigensystem(partial_transpose(rho, "B"), tol)

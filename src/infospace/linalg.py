@@ -232,7 +232,7 @@ def support_projector(m, tol: Tolerances = DEFAULT) -> np.ndarray:
     return cols @ cols.conj().T
 
 
-def schmidt_coefficients(psi: PureState, tol: Tolerances = DEFAULT) -> np.ndarray:
+def schmidt_coefficients(psi: PureState) -> np.ndarray:
     """Schmidt coefficients of a bipartite pure state, descending.
 
     The singular values of the amplitudes as a dim_a x dim_b matrix, padded

@@ -71,7 +71,7 @@ def local_entropies(rho: DensityOperator, tol: Tolerances = DEFAULT) -> tuple[fl
 
 def pure_state_entanglement(psi: PureState, tol: Tolerances = DEFAULT) -> float:
     """Entropy of entanglement, the reduced-state entropy of either side."""
-    coeffs = schmidt_coefficients(psi, tol)
+    coeffs = schmidt_coefficients(psi)
     return shannon_entropy(coeffs**2, tol)
 
 

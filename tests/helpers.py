@@ -36,6 +36,21 @@ def random_unitary(rng, dim):
     return q * (d / np.abs(d))
 
 
+def random_local_unitary(rng):
+    return np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+
+
+def rotated_spectrum(u, spectrum):
+    """u diag(spectrum) u^dag, with the roundoff asymmetry scrubbed."""
+    m = (u * np.asarray(spectrum, dtype=float)) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+def global_aabb(rng, a):
+    """Spectrum (a, a, 1/2 - a, 1/2 - a) in a Haar-random eigenbasis of C^2 (x) C^2."""
+    return rotated_spectrum(random_unitary(rng, 4), [a, a, 0.5 - a, 0.5 - a])
+
+
 def split_decomposition(p):
     """2p * (|00>,|11> mixture) + (1-2p) * psi_minus, averaging to the Bell mixture."""
     from infospace import Ensemble, PureState, classically_correlated

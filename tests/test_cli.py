@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import infospace
-from infospace import bell_mixture, ensemble_to_dict, load_state
+from infospace import bell_mixture, dump_state, ensemble_to_dict, load_state, validate_density
 from infospace.cli import main
-from helpers import split_decomposition
+from helpers import global_aabb, split_decomposition
 
 GOLDEN_CURVE_QUARTER = """\
 kind,label,q,i
@@ -257,6 +257,14 @@ class TestClassify:
     def test_pure_product(self, capsys):
         code, out, _ = run(["classify", "--family", "pure-schmidt", "--coeffs", "1"], capsys)
         assert json.loads(out)["category"] == "PureProduct"
+
+    def test_global_aabb_state_has_no_product_basis(self, capsys, tmp_path):
+        # doubly degenerate spectrum in a Haar-random eigenbasis: decided, not searched
+        path = tmp_path / "aabb.json"
+        dump_state(validate_density(global_aabb(np.random.default_rng(11), 0.2), 2, 2), str(path))
+        code, out, _ = run(["classify", "--state", str(path)], capsys)
+        assert code == 0
+        assert '"product_eigenbasis": "no"' in out
 
 
 class TestCliContract:
