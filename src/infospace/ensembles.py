@@ -17,7 +17,6 @@ from .curves import PointKind, ProtocolPoint
 from .linalg import (
     DensityOperator,
     PureState,
-    hermitian_eigensystem,
     partial_trace,
     support_projector,
     validate_density,
@@ -207,7 +206,7 @@ def product_eigenbasis_check(rho: DensityOperator, tol: Tolerances = DEFAULT) ->
     if (rho.dim_a, rho.dim_b) != (2, 2):
         raise ValueError(f"product-eigenbasis check needs a two-qubit state, got dims "
                          f"({rho.dim_a}, {rho.dim_b})")
-    w, v = hermitian_eigensystem(rho.matrix, tol)
+    w, v = rho.eigensystem(tol)
     groups: list[list[int]] = [[0]]
     for k in range(1, len(w)):
         if w[k] - w[groups[-1][-1]] <= tol.eigen_residual:
@@ -252,10 +251,10 @@ def _component_cost(state, tol: Tolerances) -> ComponentCost:
         return ComponentCost(ec=pure_state_entanglement(state, tol), s=0.0, resettable=True)
     purity = state.purity()
     if purity >= 1.0 - tol.purity:
-        _, v = hermitian_eigensystem(state.matrix, tol)
+        _, v = state.eigensystem(tol)
         psi = PureState(v[:, -1], state.dim_a, state.dim_b)
         return ComponentCost(ec=pure_state_entanglement(psi, tol), s=0.0, resettable=True)
-    w, v = hermitian_eigensystem(state.matrix, tol)
+    w, v = state.eigensystem(tol)
     keep = w > tol.support_cutoff
     weights = w[keep] / float(np.sum(w[keep]))
     vectors = [PureState(v[:, k], state.dim_a, state.dim_b) for k in np.nonzero(keep)[0]]

@@ -11,8 +11,6 @@ from .ensembles import ProductBasis, product_eigenbasis_check
 from .linalg import (
     DensityOperator,
     PureState,
-    hermitian_eigensystem,
-    partial_transpose,
     validate_density,
 )
 from .measures import bell_mixture_ec, binary_entropy, pure_state_entanglement
@@ -152,12 +150,11 @@ def classify(rho: DensityOperator, tol: Tolerances = DEFAULT) -> Classification:
     categories are assigned.
     """
     purity = rho.purity()
-    pt_eigs, _ = hermitian_eigensystem(partial_transpose(rho, "B"), tol)
-    ppt_min = float(pt_eigs[0])
+    ppt_min = float(rho.partial_transpose_spectrum(tol)[0])
     npt = ppt_min < -abs(tol.positivity_floor)
     peb = "not-checked"
     if purity >= 1.0 - tol.purity:
-        _, v = hermitian_eigensystem(rho.matrix, tol)
+        _, v = rho.eigensystem(tol)
         psi = PureState(v[:, -1], rho.dim_a, rho.dim_b)
         entangled = pure_state_entanglement(psi, tol) > tol.overlap
         category = StateCategory.PURE_ENTANGLED if entangled else StateCategory.PURE_PRODUCT

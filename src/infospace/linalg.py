@@ -1,10 +1,15 @@
 """Dense complex-Hermitian linear algebra on small bipartite systems.
 
-Everything here is a pure function on immutable inputs; eigensystems come from
-LAPACK's Hermitian solver, each one checked against its eigenpair residual.
+Eigensystems come from LAPACK's Hermitian solver. A decomposition itself takes
+no tolerances: it records the Hermiticity residual of its input and the
+eigenpair residual of its result, and every caller's ``tol`` is checked
+against those on every call. A :class:`DensityOperator` is immutable, so it
+decomposes its matrix, and the B-side partial transpose of it, at most once,
+on first use, and keeps the read-only results.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,12 +54,56 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-@dataclass(frozen=True)
+def _hermiticity_residual(a: np.ndarray) -> float:
+    """max |M - M^dag| over the entries; 0 for an empty matrix."""
+    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+
+
+def _decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """LAPACK's eigh of the Hermitian part of ``a``, plus its eigenpair residual.
+
+    Takes no tolerances: the residual max|M v - v lambda| is returned for
+    :func:`_certified` to check. A LAPACK failure raises
+    :class:`EigenConvergenceError`.
+    """
+    a = (a + a.conj().T) / 2.0  # scrub roundoff asymmetry
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(f"LAPACK eigensolver failed: {exc}") from exc
+    residual = float(np.max(np.abs(a @ v - v * w))) if a.size else 0.0
+    return w, v, residual
+
+
+def _require_hermitian(residual: float, tol: Tolerances) -> None:
+    if residual > tol.hermiticity:
+        raise NotHermitian(residual)
+
+
+def _certified(decomposition, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and vectors of a decomposition whose residual passes ``tol``."""
+    w, v, residual = decomposition
+    if residual > tol.eigen_residual:
+        raise EigenConvergenceError(
+            f"eigenpair residual {residual:.3g} exceeds {tol.eigen_residual:.3g}"
+        )
+    return w, v
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Bipartite density matrix plus its subsystem dimensions.
 
     Construction checks shape compatibility only; run untrusted input through
     :func:`validate_density` to enforce Hermiticity, unit trace and positivity.
+    Equality and hashing go by identity. The eigendecompositions of the matrix
+    and of its B-side partial transpose are computed at most once each, on
+    first use, and certified against the caller's tolerances on every call.
     """
 
     matrix: np.ndarray
@@ -68,9 +117,7 @@ class DensityOperator:
             raise ValueError(
                 f"matrix shape {a.shape} incompatible with dims ({self.dim_a}, {self.dim_b})"
             )
-        a = a.copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "matrix", a)
+        object.__setattr__(self, "matrix", _read_only(a.copy()))
 
     @property
     def dim(self) -> int:
@@ -89,10 +136,43 @@ class DensityOperator:
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 
+    @cached_property
+    def _hermiticity(self) -> float:
+        return _hermiticity_residual(self.matrix)
 
-@dataclass(frozen=True)
+    @cached_property
+    def _decomposition(self):
+        w, v, residual = _decompose(self.matrix)
+        return _read_only(w), _read_only(v), residual
+
+    @cached_property
+    def _pt_decomposition(self):
+        w, _, residual = _decompose(partial_transpose(self, "B"))
+        return _read_only(w), None, residual
+
+    def eigensystem(self, tol: Tolerances = DEFAULT) -> tuple[np.ndarray, np.ndarray]:
+        """Certified eigenvalues (ascending) and eigenvector columns, read-only.
+
+        Same checks and errors as :func:`hermitian_eigensystem` on the matrix.
+        """
+        _require_hermitian(self._hermiticity, tol)
+        return _certified(self._decomposition, tol)
+
+    def partial_transpose_spectrum(self, tol: Tolerances = DEFAULT) -> np.ndarray:
+        """Certified eigenvalues (ascending, read-only) of the B-side partial transpose.
+
+        Same checks and errors as :func:`hermitian_eigensystem` on
+        ``partial_transpose(rho, "B")``.
+        """
+        # the partial transpose permutes the entries of M - M^dag, so it has
+        # exactly the matrix's Hermiticity residual
+        _require_hermitian(self._hermiticity, tol)
+        return _certified(self._pt_decomposition, tol)[0]
+
+
+@dataclass(frozen=True, eq=False)
 class PureState:
-    """Bipartite state vector, unit norm within tolerance."""
+    """Bipartite state vector, unit norm within tolerance; compared by identity."""
 
     amplitudes: np.ndarray
     dim_a: int
@@ -110,9 +190,7 @@ class PureState:
         residual = abs(float(np.vdot(v, v).real) - 1.0)
         if residual > DEFAULT.norm:
             raise ValueError(f"state vector not normalized, | ||psi||^2 - 1 | = {residual:.3g}")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "amplitudes", v)
+        object.__setattr__(self, "amplitudes", _read_only(v.copy()))
 
     def projector(self) -> DensityOperator:
         """Rank-one density operator |psi><psi|."""
@@ -161,47 +239,30 @@ def hermitian_eigensystem(m, tol: Tolerances = DEFAULT) -> tuple[np.ndarray, np.
     tolerance.
     """
     a = check_matrix(m)
-    d = a.shape[0]
-    if a.shape[1] != d:
+    if a.shape[1] != a.shape[0]:
         raise ValueError(f"eigensystem needs a square matrix, got shape {a.shape}")
-    residual = float(np.max(np.abs(a - a.conj().T))) if d else 0.0
-    if residual > tol.hermiticity:
-        raise NotHermitian(residual)
-    a = (a + a.conj().T) / 2.0  # scrub roundoff asymmetry
-    try:
-        w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(f"LAPACK eigensolver failed: {exc}") from exc
-    eig_residual = float(np.max(np.abs(a @ v - v * w))) if d else 0.0
-    if eig_residual > tol.eigen_residual:
-        raise EigenConvergenceError(
-            f"eigenpair residual {eig_residual:.3g} exceeds {tol.eigen_residual:.3g}"
-        )
-    return w, v
+    _require_hermitian(_hermiticity_residual(a), tol)
+    return _certified(_decompose(a), tol)
 
 
 def validate_density(m, dim_a: int, dim_b: int, tol: Tolerances = DEFAULT) -> DensityOperator:
     """Check the three density-operator invariants and wrap the matrix.
 
     Raises :class:`NotHermitian`, :class:`TraceNotOne` or :class:`NotPositive`
-    (in that order) with the measured residual on the first violation.
+    (in that order) with the measured residual on the first violation. The
+    positivity check decomposes the returned operator, which keeps the result.
     """
-    a = check_matrix(m)
-    d = dim_a * dim_b
-    if dim_a < 1 or dim_b < 1 or a.shape != (d, d):
-        raise ValueError(f"matrix shape {a.shape} incompatible with dims ({dim_a}, {dim_b})")
-    if d > tol.max_dim:
-        raise ValueError(f"dimension {d} exceeds the configured cap of {tol.max_dim}")
-    herm = float(np.max(np.abs(a - a.conj().T)))
-    if herm > tol.hermiticity:
-        raise NotHermitian(herm)
-    tr_residual = abs(complex(np.trace(a)) - 1.0)
+    rho = DensityOperator(m, dim_a, dim_b)
+    if rho.dim > tol.max_dim:
+        raise ValueError(f"dimension {rho.dim} exceeds the configured cap of {tol.max_dim}")
+    _require_hermitian(rho._hermiticity, tol)
+    tr_residual = abs(complex(np.trace(rho.matrix)) - 1.0)
     if tr_residual > tol.trace:
         raise TraceNotOne(tr_residual)
-    w, _ = hermitian_eigensystem(a, tol)
+    w, _ = rho.eigensystem(tol)
     if w.size and w[0] < tol.positivity_floor:
         raise NotPositive(-float(w[0]))
-    return DensityOperator(a, dim_a, dim_b)
+    return rho
 
 
 def spectrum_probabilities(eigenvalues, tol: Tolerances = DEFAULT) -> np.ndarray:

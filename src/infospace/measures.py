@@ -8,9 +8,7 @@ import numpy as np
 from .linalg import (
     DensityOperator,
     PureState,
-    hermitian_eigensystem,
     partial_trace,
-    partial_transpose,
     schmidt_coefficients,
     spectrum_probabilities,
 )
@@ -53,7 +51,7 @@ def shannon_entropy(p, tol: Tolerances = DEFAULT) -> float:
 
 def von_neumann_entropy(rho: DensityOperator, tol: Tolerances = DEFAULT) -> float:
     """Entropy of the eigenvalue spectrum of a density operator."""
-    w, _ = hermitian_eigensystem(rho.matrix, tol)
+    w, _ = rho.eigensystem(tol)
     return shannon_entropy(w, tol)
 
 
@@ -90,7 +88,7 @@ def concurrence_2q(rho: DensityOperator, tol: Tolerances = DEFAULT) -> float:
     noise.
     """
     _require_two_qubits(rho)
-    w, v = hermitian_eigensystem(rho.matrix, tol)
+    w, v = rho.eigensystem(tol)
     root = v * np.sqrt(np.clip(w, 0.0, None))
     sig = np.linalg.svd(root.T @ _YY @ root, compute_uv=False)  # descending
     c = float(sig[0] - sig[1] - sig[2] - sig[3])
@@ -138,7 +136,7 @@ def measure_report(rho: DensityOperator, tol: Tolerances = DEFAULT) -> MeasureRe
     if (rho.dim_a, rho.dim_b) == (2, 2):
         conc = concurrence_2q(rho, tol)
         eof = _eof_from_concurrence(conc)
-    pt_eigs, _ = hermitian_eigensystem(partial_transpose(rho, "B"), tol)
+    pt_eigs = rho.partial_transpose_spectrum(tol)
     return MeasureReport(
         n=n,
         s_total=s_total,

@@ -51,6 +51,19 @@ def global_aabb(rng, a):
     return rotated_spectrum(random_unitary(rng, 4), [a, a, 0.5 - a, 0.5 - a])
 
 
+def record_eigh(monkeypatch):
+    """Wrap ``np.linalg.eigh``; returns the list of input shapes, one per call."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return shapes
+
+
 def split_decomposition(p):
     """2p * (|00>,|11> mixture) + (1-2p) * psi_minus, averaging to the Bell mixture."""
     from infospace import Ensemble, PureState, classically_correlated

@@ -1,0 +1,164 @@
+"""Each DensityOperator decomposes itself at most once, and never weakens a check."""
+
+import dataclasses
+import functools
+
+import numpy as np
+import pytest
+
+from infospace import (
+    DEFAULT,
+    DensityOperator,
+    EigenConvergenceError,
+    NotHermitian,
+    PureState,
+    assumed_exact_values,
+    bell_mixture,
+    classify,
+    concurrence_2q,
+    eof_2q,
+    hermitian_eigensystem,
+    measure_report,
+    partial_transpose,
+    product_eigenbasis_check,
+    validate_density,
+    von_neumann_entropy,
+)
+from infospace.cli import main
+from infospace.ensembles import _component_cost
+from helpers import (
+    BELL_PLUS,
+    global_aabb,
+    random_density_matrix,
+    random_state_vector,
+    record_eigh,
+)
+
+
+def _two_qubit_states():
+    rng = np.random.default_rng(17)
+    return {
+        "bell-mixture": bell_mixture(0.2).matrix,
+        "random-mixed": random_density_matrix(rng, 4),
+        "global-aabb": global_aabb(rng, 0.1),
+        "pure": np.outer(BELL_PLUS, BELL_PLUS.conj()),
+    }
+
+
+def _readers(rho):
+    """Every public reader of the stored decompositions, as functions of ``tol``."""
+    readers = [rho.eigensystem, rho.partial_transpose_spectrum]
+    fns = [von_neumann_entropy, measure_report, classify]
+    if (rho.dim_a, rho.dim_b) == (2, 2):
+        fns += [concurrence_2q, eof_2q, product_eigenbasis_check]
+    return readers + [functools.partial(f, rho) for f in fns]
+
+
+class TestIdentity:
+    def test_states_compare_and_hash_by_identity(self):
+        rho, other = bell_mixture(0.2), bell_mixture(0.2)
+        assert rho == rho and rho != other
+        assert rho in [rho] and rho not in [other]
+        assert len({rho, other, rho}) == 2
+        psi = PureState(BELL_PLUS, 2, 2)
+        assert psi == psi and psi != PureState(BELL_PLUS, 2, 2)
+        assert hash(psi) == hash(psi)
+
+    def test_stored_decompositions_do_not_enter_comparisons(self):
+        rho = bell_mixture(0.2)
+        before = hash(rho)
+        von_neumann_entropy(rho)
+        classify(rho)
+        assert hash(rho) == before and rho == rho
+
+
+class TestDecompositionCounts:
+    @pytest.mark.parametrize("name", sorted(_two_qubit_states()))
+    def test_one_decomposition_per_operator(self, monkeypatch, name):
+        m = _two_qubit_states()[name]
+        shapes = record_eigh(monkeypatch)
+        rho = validate_density(m, 2, 2)
+        measure_report(rho)
+        classify(rho)
+        concurrence_2q(rho)
+        eof_2q(rho)
+        # rho and its partial transpose, then the two reduced states
+        assert sorted(shapes) == [(2, 2), (2, 2), (4, 4), (4, 4)]
+
+    def test_verdict_and_closed_form_pass(self, monkeypatch):
+        m = global_aabb(np.random.default_rng(5), 0.15)
+        shapes = record_eigh(monkeypatch)
+        rho = validate_density(m, 2, 2)
+        classify(rho)
+        product_eigenbasis_check(rho)
+        assumed_exact_values(rho)
+        assert sorted(shapes) == [(2, 2), (2, 2), (4, 4), (4, 4)]
+
+    def test_larger_state(self, monkeypatch):
+        m = random_density_matrix(np.random.default_rng(8), 16)
+        shapes = record_eigh(monkeypatch)
+        rho = validate_density(m, 4, 4)
+        measure_report(rho)
+        classify(rho)
+        assert sorted(shapes) == [(4, 4), (4, 4), (16, 16), (16, 16)]
+
+    def test_component_cost_reuses_the_component(self, monkeypatch):
+        rho = bell_mixture(0.2)
+        shapes = record_eigh(monkeypatch)
+        cost = _component_cost(rho, DEFAULT)
+        assert (4, 4) not in shapes
+        assert cost.s == pytest.approx(von_neumann_entropy(rho), abs=1e-15)
+
+
+class TestChecksStayFull:
+    def test_residual_certificate_after_default_use(self):
+        rho = validate_density(random_density_matrix(np.random.default_rng(23), 4), 2, 2)
+        strict = dataclasses.replace(DEFAULT, eigen_residual=1e-30)
+        for reader in _readers(rho):
+            reader(DEFAULT)
+            with pytest.raises(EigenConvergenceError, match="residual"):
+                reader(strict)
+
+    def test_hermiticity_checked_on_every_call(self):
+        m = random_density_matrix(np.random.default_rng(29), 4)
+        m[0, 1] += 1e-11  # outside a 1e-12 tolerance, inside the default 1e-10
+        rho = DensityOperator(m, 2, 2)
+        tight = dataclasses.replace(DEFAULT, hermiticity=1e-12)
+        for _ in range(2):
+            for reader in _readers(rho):
+                with pytest.raises(NotHermitian):
+                    reader(tight)
+                reader(DEFAULT)
+        assert np.array_equal(rho.eigensystem()[0], hermitian_eigensystem(m)[0])
+        pt_raw, _ = hermitian_eigensystem(partial_transpose(rho, "B"))
+        assert np.array_equal(rho.partial_transpose_spectrum(), pt_raw)
+        with pytest.raises(NotHermitian):
+            hermitian_eigensystem(partial_transpose(rho, "B"), tight)
+
+    def test_returned_arrays_are_read_only(self):
+        rho = bell_mixture(0.2)
+        w, v = rho.eigensystem()
+        pt = rho.partial_transpose_spectrum()
+        for a in (w, v, pt):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        assert np.array_equal(rho.eigensystem()[0], w)
+
+    def test_lapack_failure_is_not_stored(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        v = random_state_vector(np.random.default_rng(31), 4)
+        rho = DensityOperator(0.5 * np.outer(v, v.conj()) + np.eye(4) / 8, 2, 2)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", fail)
+            for reader in (von_neumann_entropy, classify, measure_report):
+                with pytest.raises(EigenConvergenceError):
+                    reader(rho)
+            assert main(["classify", "--family", "bell-mixture", "--p", "0.25"]) == 2
+            assert "did not converge" in capsys.readouterr().err
+        w, _ = rho.eigensystem()
+        assert np.array_equal(w, hermitian_eigensystem(rho.matrix)[0])
+        assert classify(rho).ppt_min_eig == pytest.approx(
+            hermitian_eigensystem(partial_transpose(rho, "B"))[0][0], abs=1e-15
+        )
