@@ -6,7 +6,9 @@ Exit codes: 0 success, 1 input or domain error, 2 numerical failure.
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 
+from .closed_forms import bell_formation_points
 from .curves import (
     FORMATION_KINDS,
     CurveKind,
@@ -18,19 +20,11 @@ from .curves import (
     phase_scan,
     pure_extraction_line,
 )
-from .ensembles import ensemble_average, ensemble_from_dict
-from .families import (
-    FamilySpec,
-    bell_formation_points,
-    bell_mixture,
-    classically_correlated,
-    classify,
-    pure_schmidt,
-)
-from .linalg import DensityOperator, EigenConvergenceError, PureState
-from .measures import information_content, measure_report, pure_state_entanglement
-from .serialize import dump_state, fmt, fnum, load_state, points_csv, scan_csv
-from .svgplot import RenderSpec, render_chart
+from .serialize import fmt, fnum, points_csv, scan_csv
+
+# numpy-backed modules (families, measures, ensembles, linalg, the state-file
+# readers) and svgplot are imported inside the commands that use them, so
+# phase-scan and the bell-mixture curve run on the standard library alone
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -48,6 +42,32 @@ def _parse_floats(text: str) -> list[float]:
         return [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise ValueError(f"expected comma-separated numbers, got {text!r}") from exc
+
+
+FAMILY_NAMES = ("bell-mixture", "pure-schmidt", "classical", "raw")
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """Resolved family selection: one kind plus its parameters."""
+
+    kind: str
+    p: float | None = None
+    coeffs: tuple[float, ...] | None = None
+    probs: tuple[float, ...] | None = None
+    path: str | None = None
+
+    def __post_init__(self):
+        if self.kind not in FAMILY_NAMES:
+            raise ValueError(f"unknown family {self.kind!r}; choose one of {FAMILY_NAMES}")
+        needed = {
+            "bell-mixture": self.p is not None,
+            "pure-schmidt": self.coeffs is not None,
+            "classical": self.probs is not None,
+            "raw": self.path is not None,
+        }
+        if not needed[self.kind]:
+            raise ValueError(f"family {self.kind!r} is missing its parameter")
 
 
 def _family_spec(args) -> FamilySpec:
@@ -74,7 +94,11 @@ def _family_spec(args) -> FamilySpec:
     return FamilySpec(kind="raw", path=state)
 
 
-def _resolve_state(spec: FamilySpec) -> tuple[DensityOperator, PureState | None]:
+def _resolve_state(spec: FamilySpec):
+    """The family's density operator, plus its state vector for pure-schmidt."""
+    from .families import bell_mixture, classically_correlated, pure_schmidt
+    from .serialize import load_state
+
     if spec.kind == "bell-mixture":
         return bell_mixture(spec.p), None
     if spec.kind == "pure-schmidt":
@@ -94,6 +118,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_entropy(args) -> int:
+    from .ensembles import ensemble_average, ensemble_from_dict
+    from .measures import measure_report
+    from .serialize import dump_state
+
     if args.ensemble:
         with open(args.ensemble, "r", encoding="utf-8") as fh:
             rho = ensemble_average(ensemble_from_dict(json.load(fh)))
@@ -128,6 +156,9 @@ def _curve_data(
         envelopes.append(("formation-envelope", build_lower_envelope(pts)))
         # no computable extraction rule for this mixed family
     elif spec.kind == "pure-schmidt":
+        from .families import pure_schmidt
+        from .measures import pure_state_entanglement
+
         psi = pure_schmidt(spec.coeffs)
         n = psi.projector().n_qubits
         e = pure_state_entanglement(psi)
@@ -139,6 +170,9 @@ def _curve_data(
             points += line.points
             envelopes.append(("extraction-envelope", line))
     elif spec.kind == "classical":
+        from .families import classically_correlated
+        from .measures import information_content
+
         rho = classically_correlated(spec.probs)
         info = information_content(rho)
         endpoints = formation_endpoints(info, 0.0, 0.0, 0.0)
@@ -164,7 +198,9 @@ def _oriented(q: float, i: float, formation: bool, paper_axes: bool) -> tuple[fl
     return q, i
 
 
-def _curve_svg(points, envelopes, spec: RenderSpec, title: str) -> str:
+def _curve_svg(points, envelopes, spec, title: str) -> str:
+    from .svgplot import render_chart
+
     series = []
     for name, curve in envelopes:
         formation = curve.kind is CurveKind.FORMATION
@@ -197,6 +233,8 @@ def cmd_curve(args) -> int:
     else:
         _emit(points_csv(points, envelopes), args.out)
     if args.svg:
+        from .svgplot import RenderSpec
+
         render = RenderSpec(paper_axes=args.paper_axes)
         title = f"information-space curves ({spec.kind})"
         with open(args.svg, "w", encoding="utf-8") as fh:
@@ -219,6 +257,8 @@ def cmd_phase_scan(args) -> int:
     )
     _emit(scan_csv(result), args.out)
     if args.svg:
+        from .svgplot import RenderSpec, render_chart
+
         render = RenderSpec(paper_axes=args.paper_axes)
         series = []
         for p in grid:
@@ -235,6 +275,9 @@ def cmd_phase_scan(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .families import classify
+    from .serialize import dump_state
+
     rho, _ = _resolve_state(_family_spec(args))
     result = classify(rho)
     payload = {
@@ -320,12 +363,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EigenConvergenceError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_NUMERIC
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_INPUT
+    except RuntimeError as exc:
+        # only a command that loaded linalg can raise its error, so importing
+        # it here costs nothing the command did not already pay for
+        from .linalg import EigenConvergenceError
+
+        if not isinstance(exc, EigenConvergenceError):
+            raise
+        print(exc, file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ only at render time.
 import bisect
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -23,7 +24,6 @@ class PointKind(enum.Enum):
     EXTRACTION_DISTILL = "ExtractionDistill"
     EXTRACTION_REVERSIBLE = "ExtractionReversible"
     CHORD = "Chord"
-    BOUND = "Bound"
 
 
 FORMATION_KINDS = frozenset(
@@ -65,7 +65,8 @@ class ProtocolPoint:
     def __post_init__(self):
         if not (math.isfinite(self.q) and math.isfinite(self.i)):
             raise ValueError(f"protocol point coordinates must be finite, got ({self.q}, {self.i})")
-        if self.kind in FORMATION_KINDS and (self.q < -1e-9 or self.i < -1e-9):
+        # the float test first: hashing the enum for the set test runs as Python code
+        if (self.q < -1e-9 or self.i < -1e-9) and self.kind in FORMATION_KINDS:
             raise ValueError(
                 f"formation points are nonnegative magnitudes, got ({self.q}, {self.i})"
             )
@@ -108,7 +109,7 @@ def _kind_family(kind: PointKind) -> CurveKind | None:
         return CurveKind.FORMATION
     if kind in EXTRACTION_KINDS:
         return CurveKind.EXTRACTION
-    return None  # Chord / Bound points attach to either curve
+    return None  # Chord points attach to either curve
 
 
 def chord_mix(p1: ProtocolPoint, p2: ProtocolPoint, lam: float) -> ProtocolPoint:
@@ -141,13 +142,12 @@ def build_lower_envelope(
     """
     if len(points) < 2:
         raise ValueError("envelope construction needs at least two protocol points")
-    if kind is CurveKind.FORMATION:
-        kinds = {p.kind for p in points}
-        if not (
-            PointKind.FORMATION_ENDPOINT_EC in kinds and PointKind.FORMATION_ENDPOINT_ER in kinds
-        ):
-            raise ValueError("formation envelopes need both extreme points present")
-    ordered = sorted(points, key=lambda p: (p.q, p.i))
+    if kind is CurveKind.FORMATION and not (
+        any(p.kind is PointKind.FORMATION_ENDPOINT_EC for p in points)
+        and any(p.kind is PointKind.FORMATION_ENDPOINT_ER for p in points)
+    ):
+        raise ValueError("formation envelopes need both extreme points present")
+    ordered = sorted(points, key=operator.attrgetter("q", "i"))
     # one candidate per q: only the lowest point can lie on a function graph
     candidates: list[tuple[float, float]] = []
     for p in ordered:

@@ -6,17 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import DegenerateFamilyError, PointKind, ProtocolPoint
+from .closed_forms import bell_formation_points  # noqa: F401 (re-exported)
 from .ensembles import ProductBasis, product_eigenbasis_check
-from .linalg import (
-    DensityOperator,
-    PureState,
-    validate_density,
-)
-from .measures import bell_mixture_ec, binary_entropy, pure_state_entanglement
+from .linalg import DensityOperator, PureState, schmidt_coefficients, validate_density
 from .tolerances import DEFAULT, Tolerances
-
-FAMILY_NAMES = ("bell-mixture", "pure-schmidt", "classical", "raw")
 
 _INPUT_DRIFT = 1e-6  # user-typed coefficients get renormalized up to this drift
 
@@ -34,27 +27,6 @@ def bell_mixture(p: float, tol: Tolerances = DEFAULT) -> DensityOperator:
     m[0, 0] = m[3, 3] = 0.5
     m[0, 3] = m[3, 0] = p - 0.5
     return validate_density(m, 2, 2, tol)
-
-
-def bell_formation_points(p: float) -> list[ProtocolPoint]:
-    """The three formation protocol points of the Bell-mixture family.
-
-    Minimal-communication endpoint (E_c, 2), split-decomposition point
-    (1-2p, 2-2p), reversible endpoint (1, 2-H(p)). Defined on the open
-    interval only; the boundary states degenerate to other families.
-    """
-    p = float(p)
-    if not 0.0 < p < 0.5:
-        raise DegenerateFamilyError(
-            f"formation points need 0 < p < 1/2, got {p}: p=0 is the pure Bell state "
-            "(pure-schmidt family), p=1/2 the classical mixture (classical family)"
-        )
-    ec = bell_mixture_ec(p)
-    return [
-        ProtocolPoint(ec, 2.0, PointKind.FORMATION_ENDPOINT_EC, "min-communication"),
-        ProtocolPoint(1.0 - 2.0 * p, 2.0 - 2.0 * p, PointKind.FORMATION_INTERMEDIATE, "split-decomposition"),
-        ProtocolPoint(1.0, 2.0 - binary_entropy(p), PointKind.FORMATION_ENDPOINT_ER, "reversible"),
-    ]
 
 
 def _embedding_dim(k: int) -> int:
@@ -155,8 +127,10 @@ def classify(rho: DensityOperator, tol: Tolerances = DEFAULT) -> Classification:
     peb = "not-checked"
     if purity >= 1.0 - tol.purity:
         _, v = rho.eigensystem(tol)
-        psi = PureState(v[:, -1], rho.dim_a, rho.dim_b)
-        entangled = pure_state_entanglement(psi, tol) > tol.overlap
+        # the product rule product_eigenbasis_check applies to eigenvectors; the
+        # entropy, about c^2 log(1/c^2), would read c = 1e-6 as product
+        coeffs = schmidt_coefficients(PureState(v[:, -1], rho.dim_a, rho.dim_b))
+        entangled = coeffs.size > 1 and coeffs[1] > tol.schmidt
         category = StateCategory.PURE_ENTANGLED if entangled else StateCategory.PURE_PRODUCT
     elif (rho.dim_a, rho.dim_b) == (2, 2):
         result = product_eigenbasis_check(rho, tol)
@@ -173,25 +147,3 @@ def classify(rho: DensityOperator, tol: Tolerances = DEFAULT) -> Classification:
         category=category, purity=purity, product_eigenbasis=peb, ppt_min_eig=ppt_min
     )
 
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Resolved family selection: one kind plus its parameters."""
-
-    kind: str
-    p: float | None = None
-    coeffs: tuple[float, ...] | None = None
-    probs: tuple[float, ...] | None = None
-    path: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in FAMILY_NAMES:
-            raise ValueError(f"unknown family {self.kind!r}; choose one of {FAMILY_NAMES}")
-        needed = {
-            "bell-mixture": self.p is not None,
-            "pure-schmidt": self.coeffs is not None,
-            "classical": self.probs is not None,
-            "raw": self.path is not None,
-        }
-        if not needed[self.kind]:
-            raise ValueError(f"family {self.kind!r} is missing its parameter")

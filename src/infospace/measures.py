@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_forms import bell_mixture_ec, binary_entropy  # noqa: F401 (re-exported)
 from .linalg import (
     DensityOperator,
     PureState,
@@ -24,20 +25,6 @@ _YY = np.array(
     ],
     dtype=complex,
 )
-
-
-def binary_entropy(x: float) -> float:
-    """H(x) = -x log2 x - (1-x) log2 (1-x) with the 0 log 0 = 0 convention."""
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"binary entropy needs a probability, got {x}")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    # evaluate on the smaller branch; 1 - x is exact for x >= 1/2 (Sterbenz),
-    # so H(x) == H(1 - x) whenever the complement is itself representable
-    s = x if x <= 0.5 else 1.0 - x
-    b = 1.0 - s
-    return -(s * math.log2(s)) - (b * math.log2(b))
 
 
 def shannon_entropy(p, tol: Tolerances = DEFAULT) -> float:
@@ -103,14 +90,6 @@ def _eof_from_concurrence(c: float) -> float:
 def eof_2q(rho: DensityOperator, tol: Tolerances = DEFAULT) -> float:
     """Entanglement of formation from the concurrence closed form."""
     return _eof_from_concurrence(concurrence_2q(rho, tol))
-
-
-def bell_mixture_ec(p: float) -> float:
-    """Closed-form entanglement cost of the two-Bell-state mixture family."""
-    p = float(p)
-    if not 0.0 <= p <= 0.5:
-        raise ValueError(f"mixing parameter must lie in [0, 1/2], got {p}")
-    return binary_entropy(0.5 + math.sqrt(p * (1.0 - p)))
 
 
 @dataclass(frozen=True)

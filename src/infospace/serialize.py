@@ -1,25 +1,27 @@
-"""Flat-file formats: state and ensemble JSON, CSV schemas, float rendering."""
+"""Flat-file formats: state and ensemble JSON, CSV schemas, float rendering.
+
+The text formatters need only the standard library; the state-file readers
+import numpy and ``linalg`` when first called.
+"""
+
+from __future__ import annotations
 
 import json
-import math
-
-import numpy as np
+import numbers
+from typing import TYPE_CHECKING
 
 from .curves import InformationCurve, PhaseScanResult, ProtocolPoint
-from .linalg import DensityOperator, validate_density
 from .tolerances import DEFAULT, Tolerances
+
+if TYPE_CHECKING:
+    from .linalg import DensityOperator
 
 
 def fmt(x) -> str:
     """Nine-significant-digit, locale-free decimal rendering of a number."""
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, numbers.Integral):  # numpy registers its integer scalars here
         return str(int(x))
-    v = float(x)
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    out = f"{v:.9g}"
+    out = f"{float(x):.9g}"  # nan, inf and -inf print as themselves
     return "0" if out == "-0" else out
 
 
@@ -39,6 +41,10 @@ def state_to_dict(rho: DensityOperator) -> dict:
 
 def state_from_dict(d: dict, tol: Tolerances = DEFAULT) -> DensityOperator:
     """Parse and fully validate a state-file document."""
+    import numpy as np
+
+    from .linalg import validate_density
+
     try:
         dim_a, dim_b = (int(x) for x in d["dims"])
         re = np.asarray(d["matrix_re"], dtype=float)

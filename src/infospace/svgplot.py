@@ -2,9 +2,17 @@
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
+
+
+def escape(text: str) -> str:
+    """XML character data: ``&``, ``<`` and ``>`` as entities, ``&`` first.
+
+    The same output as ``xml.sax.saxutils.escape`` with no extra entities,
+    without importing ``xml.sax`` (which pulls in urllib, email and http).
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 @dataclass(frozen=True)

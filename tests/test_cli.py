@@ -243,6 +243,37 @@ class TestPhaseScan:
         assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == 4
 
 
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+
+class TestSvgBytes:
+    @pytest.mark.parametrize(
+        "args, golden",
+        [
+            (["curve", "--family", "bell-mixture", "--p", "0.25"], "curve_bell_quarter.svg"),
+            (
+                ["phase-scan", "--p-min", "0.1", "--p-max", "0.4", "--steps", "5"],
+                "phase_scan_five.svg",
+            ),
+        ],
+    )
+    def test_svg_bytes_are_pinned(self, args, golden, capsys, tmp_path):
+        svg = tmp_path / "out.svg"
+        code, _, _ = run([*args, "--svg", str(svg)], capsys)
+        assert code == 0
+        with open(os.path.join(GOLDEN_DIR, golden), "rb") as fh:
+            assert svg.read_bytes() == fh.read()
+
+    def test_escape_matches_saxutils(self):
+        from xml.sax.saxutils import escape as sax_escape
+
+        from infospace.svgplot import escape
+
+        for text in ["", "plain", "a & b", "<tag>", "q < 1 > 0", "&amp;", "\"quoted\" 'single'",
+                     "& < > \" '", "p=0.25 & <x> \"y\" 'z' &&<<>>"]:
+            assert escape(text) == sax_escape(text)
+
+
 class TestClassify:
     def test_bell_mixture(self, capsys):
         code, out, _ = run(["classify", "--family", "bell-mixture", "--p", "0.25"], capsys)

@@ -133,6 +133,12 @@ class TestLowerEnvelope:
         with pytest.raises(ValueError, match="extreme"):
             build_lower_envelope(pts)
 
+    @pytest.mark.parametrize("kind", [PointKind.FORMATION_ENDPOINT_EC, PointKind.FORMATION_ENDPOINT_ER])
+    def test_formation_requires_both_endpoints(self, kind):
+        pts = [ProtocolPoint(0.1, 1.0, kind), ProtocolPoint(0.5, 0.5, PointKind.CHORD)]
+        with pytest.raises(ValueError, match="extreme"):
+            build_lower_envelope(pts)
+
     @pytest.mark.parametrize("p", [0.05, 0.15, 0.25, 0.35, 0.45])
     def test_convex_and_monotone(self, p):
         env = bell_curve(p).envelope

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from infospace import (
+    DEFAULT,
     DegenerateFamilyError,
     DensityOperator,
     FamilySpec,
     PointKind,
+    ProductBasis,
+    PureState,
     StateCategory,
     bell_formation_points,
     bell_mixture,
@@ -16,12 +19,13 @@ from infospace import (
     hermitian_eigensystem,
     information_content,
     partial_transpose,
+    product_eigenbasis_check,
     pure_schmidt,
     pure_state_entanglement,
     validate_density,
     von_neumann_entropy,
 )
-from helpers import BELL_MINUS, BELL_PLUS
+from helpers import BELL_MINUS, BELL_PLUS, random_local_unitary
 
 EC_QUARTER = 0.3545789026652699
 
@@ -181,6 +185,20 @@ class TestClassify:
         result = classify(rho)
         assert result.category is StateCategory.MIXED_PPT
         assert result.product_eigenbasis == "not-checked"
+
+    @pytest.mark.parametrize("c2", [1e-10, 1e-8, 1e-6, 1e-3])
+    def test_pure_verdict_matches_product_eigenbasis(self, c2):
+        # both paths decide "product" by the second Schmidt coefficient against
+        # tol.schmidt; the entanglement entropy, ~c2^2 log(1/c2^2), reads 1e-6 as 0
+        rng = np.random.default_rng(int(-np.log10(c2)))
+        psi = pure_schmidt([np.sqrt(1.0 - c2 * c2), c2])
+        for _ in range(5):
+            rotated = PureState(random_local_unitary(rng) @ psi.amplitudes, 2, 2)
+            rho = validate_density(rotated.projector().matrix, 2, 2)
+            product = product_eigenbasis_check(rho).status is ProductBasis.PRODUCT
+            assert product is (c2 <= DEFAULT.schmidt)
+            expected = StateCategory.PURE_PRODUCT if product else StateCategory.PURE_ENTANGLED
+            assert classify(rho).category is expected
 
 
 class TestFamilySpec:

@@ -17,6 +17,7 @@ class TestFmt:
         assert fmt(2) == "2"
         assert fmt(2.0) == "2"
         assert fmt(1.0) == "1"
+        assert fmt(np.int64(3)) == "3" and fmt(np.uint8(7)) == "7"  # numbers.Integral
 
     def test_negative_zero_normalized(self):
         assert fmt(-0.0) == "0"
@@ -25,6 +26,7 @@ class TestFmt:
         assert fmt(math.inf) == "inf"
         assert fmt(-math.inf) == "-inf"
         assert fmt(math.nan) == "nan"
+        assert fmt(-math.nan) == "nan"
 
     def test_tiny_values_fall_back_to_scientific(self):
         assert fmt(2.220446049250313e-16) == "2.22044605e-16"
