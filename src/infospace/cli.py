@@ -95,18 +95,17 @@ def _family_spec(args) -> FamilySpec:
 
 
 def _resolve_state(spec: FamilySpec):
-    """The family's density operator, plus its state vector for pure-schmidt."""
+    """The family's density operator."""
     from .families import bell_mixture, classically_correlated, pure_schmidt
     from .serialize import load_state
 
     if spec.kind == "bell-mixture":
-        return bell_mixture(spec.p), None
+        return bell_mixture(spec.p)
     if spec.kind == "pure-schmidt":
-        psi = pure_schmidt(spec.coeffs)
-        return psi.projector(), psi
+        return pure_schmidt(spec.coeffs).projector()
     if spec.kind == "classical":
-        return classically_correlated(spec.probs), None
-    return load_state(spec.path), None
+        return classically_correlated(spec.probs)
+    return load_state(spec.path)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -126,7 +125,7 @@ def cmd_entropy(args) -> int:
         with open(args.ensemble, "r", encoding="utf-8") as fh:
             rho = ensemble_average(ensemble_from_dict(json.load(fh)))
     else:
-        rho, _ = _resolve_state(_family_spec(args))
+        rho = _resolve_state(_family_spec(args))
     report = measure_report(rho)
     payload = {
         "n": report.n,
@@ -198,21 +197,21 @@ def _oriented(q: float, i: float, formation: bool, paper_axes: bool) -> tuple[fl
     return q, i
 
 
-def _curve_svg(points, envelopes, spec, title: str) -> str:
-    from .svgplot import render_chart
+def _curve_svg(points, envelopes, paper_axes: bool, title: str) -> str:
+    from .svgplot import RenderSpec, render_chart
 
     series = []
     for name, curve in envelopes:
         formation = curve.kind is CurveKind.FORMATION
         series.append(
-            (name, [_oriented(q, i, formation, spec.paper_axes) for q, i in curve.envelope])
+            (name, [_oriented(q, i, formation, paper_axes) for q, i in curve.envelope])
         )
     markers = []
     for p in points:
         formation = p.kind in FORMATION_KINDS
-        x, y = _oriented(p.q, p.i, formation, spec.paper_axes)
+        x, y = _oriented(p.q, p.i, formation, paper_axes)
         markers.append((p.label, x, y))
-    return render_chart(series, markers, spec, title)
+    return render_chart(series, markers, RenderSpec(), title)
 
 
 def cmd_curve(args) -> int:
@@ -233,12 +232,9 @@ def cmd_curve(args) -> int:
     else:
         _emit(points_csv(points, envelopes), args.out)
     if args.svg:
-        from .svgplot import RenderSpec
-
-        render = RenderSpec(paper_axes=args.paper_axes)
         title = f"information-space curves ({spec.kind})"
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(_curve_svg(points, envelopes, render, title))
+            fh.write(_curve_svg(points, envelopes, args.paper_axes, title))
     return EXIT_OK
 
 
@@ -257,20 +253,10 @@ def cmd_phase_scan(args) -> int:
     )
     _emit(scan_csv(result), args.out)
     if args.svg:
-        from .svgplot import RenderSpec, render_chart
-
-        render = RenderSpec(paper_axes=args.paper_axes)
-        series = []
-        for p in grid:
-            curve = build_lower_envelope(bell_formation_points(p))
-            series.append(
-                (
-                    f"p={fmt(p)}",
-                    [_oriented(q, i, True, render.paper_axes) for q, i in curve.envelope],
-                )
-            )
+        envelopes = [(f"p={fmt(p)}", build_lower_envelope(bell_formation_points(p))) for p in grid]
+        svg = _curve_svg([], envelopes, args.paper_axes, "formation curves across the family")
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_chart(series, [], render, "formation curves across the family"))
+            fh.write(svg)
     return EXIT_OK
 
 
@@ -278,7 +264,7 @@ def cmd_classify(args) -> int:
     from .families import classify
     from .serialize import dump_state
 
-    rho, _ = _resolve_state(_family_spec(args))
+    rho = _resolve_state(_family_spec(args))
     result = classify(rho)
     payload = {
         "category": result.category.value,
@@ -295,7 +281,7 @@ def cmd_classify(args) -> int:
 
 
 def _add_input_options(sub, ensemble: bool = False) -> None:
-    sub.add_argument("--family", choices=("bell-mixture", "pure-schmidt", "classical", "raw"))
+    sub.add_argument("--family", choices=FAMILY_NAMES)
     sub.add_argument("--p", type=float, help="bell-mixture parameter in [0, 1/2]")
     sub.add_argument("--coeffs", help="comma-separated Schmidt coefficients")
     sub.add_argument("--probs", help="comma-separated probabilities")

@@ -131,18 +131,17 @@ def _cross(o: tuple[float, float], a: tuple[float, float], b: tuple[float, float
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def build_lower_envelope(
-    points: Sequence[ProtocolPoint], kind: CurveKind = CurveKind.FORMATION
-) -> InformationCurve:
-    """Lower convex hull over q of the supplied points.
+def build_lower_envelope(points: Sequence[ProtocolPoint]) -> InformationCurve:
+    """Formation curve: the lower convex hull over q of the supplied points.
 
     Chords between achievable points are achievable, so this is the boundary
     of the achievable region. Points exactly on a chord stay as vertices,
-    which makes re-running the construction on its own output a no-op.
+    which makes re-running the construction on its own output a no-op. Both
+    extreme formation points must be among the inputs.
     """
     if len(points) < 2:
         raise ValueError("envelope construction needs at least two protocol points")
-    if kind is CurveKind.FORMATION and not (
+    if not (
         any(p.kind is PointKind.FORMATION_ENDPOINT_EC for p in points)
         and any(p.kind is PointKind.FORMATION_ENDPOINT_ER for p in points)
     ):
@@ -159,7 +158,7 @@ def build_lower_envelope(
         while len(hull) >= 2 and _cross(hull[-2], hull[-1], c) < 0.0:
             hull.pop()
         hull.append(c)
-    return InformationCurve(kind=kind, points=tuple(ordered), envelope=tuple(hull))
+    return InformationCurve(kind=CurveKind.FORMATION, points=tuple(ordered), envelope=tuple(hull))
 
 
 def curve_value(curve: InformationCurve, q: float) -> float:
@@ -332,7 +331,7 @@ def phase_scan(
         except DegenerateFamilyError:
             samples.append(ScanSample(p=p, q_at=0.0, slope=0.0, chi=math.inf, degenerate=True))
             continue
-        curve = build_lower_envelope(pts, CurveKind.FORMATION)
+        curve = build_lower_envelope(pts)
         if len(curve.envelope) < 2:
             samples.append(ScanSample(p=p, q_at=curve.envelope[0][0], slope=0.0, chi=math.inf, degenerate=True))
             continue
@@ -340,14 +339,9 @@ def phase_scan(
             q_at, slope = _steepest_segment(curve)
         else:
             q_at = float(probe)
-            lo, hi = curve.domain()
-            side = None
-            if abs(q_at - lo) <= _VERTEX_SNAP:
-                side = "right"
-            elif abs(q_at - hi) <= _VERTEX_SNAP or any(
-                abs(q_at - v[0]) <= _VERTEX_SNAP for v in curve.envelope
-            ):
-                side = "left"
+            lo, _ = curve.domain()
+            # chi reads side only on a vertex; the first vertex has only a right segment
+            side = "right" if abs(q_at - lo) <= _VERTEX_SNAP else "left"
             slope = chi(curve, q_at, side=side).slope
         samples.append(ScanSample(p=p, q_at=q_at, slope=slope, chi=_chi_of_slope(slope)))
     live = [abs(s.slope) for s in samples if not s.degenerate]

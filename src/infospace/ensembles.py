@@ -17,11 +17,12 @@ from .curves import PointKind, ProtocolPoint
 from .linalg import (
     DensityOperator,
     PureState,
+    _require_dim,
     partial_trace,
     support_projector,
     validate_density,
 )
-from .measures import eof_2q, pure_state_entanglement, von_neumann_entropy
+from .measures import eof_2q, local_entropies, pure_state_entanglement, von_neumann_entropy
 from .tolerances import DEFAULT, Tolerances
 
 # Bell basis columns: (|00>+|11>)/sqrt2, (|00>-|11>)/sqrt2, (|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2
@@ -119,7 +120,7 @@ def local_orthogonality_check(e: Ensemble, tol: Tolerances = DEFAULT) -> LocalOr
     """
     for side in ("A", "B"):
         projectors = [
-            support_projector(partial_trace(_as_density(s), side).matrix, tol)
+            support_projector(partial_trace(_as_density(s), side), tol)
             for _, s in e.components
         ]
         ok = all(
@@ -310,17 +311,8 @@ def reversible_cost_bound(e: Ensemble, tol: Tolerances = DEFAULT) -> float:
     """
     if not local_orthogonality_check(e, tol).certified:
         raise NotCertifiedOrthogonal("decomposition is not certified locally orthogonal")
-    sums = []
-    for side in ("A", "B"):
-        sums.append(
-            float(
-                sum(
-                    w * von_neumann_entropy(partial_trace(_as_density(s), side), tol)
-                    for w, s in e.components
-                )
-            )
-        )
-    return min(sums)
+    entropies = [(w, local_entropies(_as_density(s), tol)) for w, s in e.components]
+    return min(float(sum(w * pair[k] for w, pair in entropies)) for k in (0, 1))
 
 
 def formation_surplus_bound(e: Ensemble, tol: Tolerances = DEFAULT) -> float:
@@ -364,10 +356,9 @@ def assumed_exact_values(rho: DensityOperator, tol: Tolerances = DEFAULT) -> Ass
     status = product_eigenbasis_check(rho, tol).status
     if status is not ProductBasis.NO:
         raise NotApplicable(f"product-eigenbasis check returned {status.value!r}")
-    s_total = von_neumann_entropy(rho, tol)
-    s_a = von_neumann_entropy(partial_trace(rho, "A"), tol)
-    s_b = von_neumann_entropy(partial_trace(rho, "B"), tol)
-    return AssumedExactValues(surplus=s_total, reversible_cost=min(s_a, s_b))
+    return AssumedExactValues(
+        surplus=von_neumann_entropy(rho, tol), reversible_cost=min(local_entropies(rho, tol))
+    )
 
 
 def ensemble_to_dict(e: Ensemble) -> dict:
@@ -391,6 +382,8 @@ def ensemble_from_dict(d: dict, tol: Tolerances = DEFAULT) -> Ensemble:
         raw = d["components"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed ensemble document: {exc}") from exc
+    # before any component: a pure one costs O(d) in the file but O(d^2) in memory
+    _require_dim(dim_a * dim_b, tol)
     components: list[tuple[float, DensityOperator | PureState]] = []
     for entry in raw:
         weight = float(entry["weight"])

@@ -75,6 +75,11 @@ def _decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return w, v, residual
 
 
+def _require_dim(dim: int, tol: Tolerances) -> None:
+    if dim > tol.max_dim:
+        raise ValueError(f"dimension {dim} exceeds the configured cap of {tol.max_dim}")
+
+
 def _require_hermitian(residual: float, tol: Tolerances) -> None:
     if residual > tol.hermiticity:
         raise NotHermitian(residual)
@@ -253,8 +258,7 @@ def validate_density(m, dim_a: int, dim_b: int, tol: Tolerances = DEFAULT) -> De
     positivity check decomposes the returned operator, which keeps the result.
     """
     rho = DensityOperator(m, dim_a, dim_b)
-    if rho.dim > tol.max_dim:
-        raise ValueError(f"dimension {rho.dim} exceeds the configured cap of {tol.max_dim}")
+    _require_dim(rho.dim, tol)
     _require_hermitian(rho._hermiticity, tol)
     tr_residual = abs(complex(np.trace(rho.matrix)) - 1.0)
     if tr_residual > tol.trace:
@@ -286,9 +290,9 @@ def spectrum_probabilities(eigenvalues, tol: Tolerances = DEFAULT) -> np.ndarray
     return w
 
 
-def support_projector(m, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Projector onto the span of eigenvectors above the support cutoff."""
-    w, v = hermitian_eigensystem(m, tol)
+def support_projector(rho: DensityOperator, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """Projector onto the span of ``rho``'s eigenvectors above the support cutoff."""
+    w, v = rho.eigensystem(tol)
     cols = v[:, w > tol.support_cutoff]
     return cols @ cols.conj().T
 

@@ -17,16 +17,10 @@ def escape(text: str) -> str:
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """Output options for diagram rendering.
-
-    ``paper_axes`` draws formation data in the lower-left quadrant by
-    negating its coordinates (resources being used up), leaving extraction
-    data in the upper right.
-    """
+    """Canvas size of a chart: width, height and the margin around the plot, in pixels."""
 
     width: int = 640
     height: int = 480
-    paper_axes: bool = True
     margin: int = 64
 
 
@@ -57,8 +51,6 @@ def render_chart(
     markers: list[tuple[str, float, float]],
     spec: RenderSpec,
     title: str,
-    xlabel: str = "Q [qubits]",
-    ylabel: str = "I [bits]",
 ) -> str:
     """Build a complete SVG document with one polyline per series."""
     xs = [p[0] for _, pts in series for p in pts] + [m[1] for m in markers]
@@ -116,11 +108,11 @@ def render_chart(
         )
     out.append(
         f'<text x="{w / 2:.1f}" y="{h - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{escape(xlabel)}</text>'
+        f'font-family="sans-serif" font-size="12">Q [qubits]</text>'
     )
     out.append(
         f'<text x="16" y="{h / 2:.1f}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="12" transform="rotate(-90 16 {h / 2:.1f})">{escape(ylabel)}</text>'
+        f'font-size="12" transform="rotate(-90 16 {h / 2:.1f})">I [bits]</text>'
     )
     for k, (name, pts) in enumerate(series):
         color = _PALETTE[k % len(_PALETTE)]

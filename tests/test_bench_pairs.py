@@ -1,0 +1,40 @@
+"""Unit tests of the pure helpers in tools/bench_pairs.py; no benchmark is run."""
+
+import importlib.util
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "bench_pairs.py")
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def _runs(before, after, name):
+    return [
+        {"before": {"metrics": {name: b}}, "after": {"metrics": {name: a}}}
+        for b, a in zip(before, after)
+    ]
+
+
+def test_parse_seeds_ranges_and_singles():
+    assert bench_pairs.parse_seeds("1-3,7") == [1, 2, 3, 7]
+    assert bench_pairs.parse_seeds("601-603") == [601, 602, 603]
+
+
+def test_spread_inclusive_quartiles():
+    assert bench_pairs.spread([5.0, 1.0, 3.0, 2.0, 4.0]) == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+    assert bench_pairs.spread([1.0, 2.0]) == {"median": 1.5, "q1": 1.25, "q3": 1.75}
+
+
+# "after" is higher in pair 1, lower in pairs 2 and 3, and ties in pair 4
+@pytest.mark.parametrize("better, wins", [("higher", 1), ("lower", 2)])
+def test_summarise_counts_wins_not_ties(better, wins):
+    before, after = [10.0, 20.0, 30.0, 40.0], [11.0, 19.0, 28.0, 40.0]
+    summary = bench_pairs.summarise(_runs(before, after, "m"), {"m": better})["m"]
+    assert summary["better"] == better
+    assert summary["after_better_pairs"] == wins
+    assert summary["pairs"] == 4
+    assert summary["before"] == bench_pairs.spread(before)
+    assert summary["after"] == bench_pairs.spread(after)

@@ -318,6 +318,21 @@ class TestPhaseScan:
         assert sample.q_at == 0.75
         assert sample.slope == pytest.approx((0.5 - 0.8112781244591328) / 0.5, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "q, side",
+        [
+            (EC_QUARTER, "right"),  # first vertex: only a segment to its right
+            (0.5, "left"),
+            (0.5 + 5e-10, "left"),
+            (1.0, "left"),
+            (0.42, None),
+            (0.75, None),
+        ],
+    )
+    def test_fixed_probe_reads_chi(self, q, side):
+        sample = phase_scan(bell_formation_points, [0.25], probe=q).samples[0]
+        assert sample.slope == chi(bell_curve(0.25), q, side=side).slope
+
     def test_steepest_segment_is_first(self):
         result = phase_scan(bell_formation_points, [0.25])
         sample = result.samples[0]

@@ -445,6 +445,12 @@ class TestEnsembleJson:
         with pytest.raises(ValueError, match="malformed"):
             ensemble_from_dict({"components": []})
 
+    def test_dimension_cap_before_components(self):
+        amplitudes = [[1.0, 0.0]] + [[0.0, 0.0]] * 255
+        doc = {"dims": [16, 16], "components": [{"weight": 1.0, "type": "pure", "data": amplitudes}]}
+        with pytest.raises(ValueError, match="dimension 256 exceeds the configured cap of 64"):
+            ensemble_from_dict(doc)
+
     def test_unknown_component_type(self):
         doc = {"dims": [2, 2], "components": [{"weight": 1.0, "type": "thermal", "data": []}]}
         with pytest.raises(ValueError, match="pure"):

@@ -10,17 +10,24 @@ from infospace import (
     DEFAULT,
     DensityOperator,
     EigenConvergenceError,
+    Ensemble,
     NotHermitian,
     PureState,
     assumed_exact_values,
     bell_mixture,
+    classically_correlated,
     classify,
     concurrence_2q,
     eof_2q,
+    formation_point,
+    formation_surplus_bound,
     hermitian_eigensystem,
     measure_report,
+    partial_trace,
     partial_transpose,
     product_eigenbasis_check,
+    reversible_cost_bound,
+    support_projector,
     validate_density,
     von_neumann_entropy,
 )
@@ -28,10 +35,13 @@ from infospace.cli import main
 from infospace.ensembles import _component_cost
 from helpers import (
     BELL_PLUS,
+    KET_00,
+    KET_11,
     global_aabb,
     random_density_matrix,
     random_state_vector,
     record_eigh,
+    split_decomposition,
 )
 
 
@@ -48,10 +58,24 @@ def _two_qubit_states():
 def _readers(rho):
     """Every public reader of the stored decompositions, as functions of ``tol``."""
     readers = [rho.eigensystem, rho.partial_transpose_spectrum]
-    fns = [von_neumann_entropy, measure_report, classify]
+    fns = [von_neumann_entropy, measure_report, classify, support_projector]
     if (rho.dim_a, rho.dim_b) == (2, 2):
         fns += [concurrence_2q, eof_2q, product_eigenbasis_check]
     return readers + [functools.partial(f, rho) for f in fns]
+
+
+def _certified_pair():
+    return Ensemble(((0.5, PureState(KET_00, 2, 2)), (0.5, PureState(KET_11, 2, 2))))
+
+
+# input builder, call, eigh calls the call makes on an input built beforehand
+_ENSEMBLE_CALLS = {
+    "formation_point-split": (lambda: split_decomposition(0.25), formation_point, 7),
+    "formation_point-pair": (_certified_pair, formation_point, 3),
+    "reversible_cost_bound": (_certified_pair, reversible_cost_bound, 6),
+    "formation_surplus_bound": (_certified_pair, formation_surplus_bound, 5),
+    "assumed_exact_values": (lambda: bell_mixture(0.25), assumed_exact_values, 2),
+}
 
 
 class TestIdentity:
@@ -108,6 +132,32 @@ class TestDecompositionCounts:
         cost = _component_cost(rho, DEFAULT)
         assert (4, 4) not in shapes
         assert cost.s == pytest.approx(von_neumann_entropy(rho), abs=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(_ENSEMBLE_CALLS))
+    def test_ensemble_call_counts(self, monkeypatch, name):
+        build, call, count = _ENSEMBLE_CALLS[name]
+        arg = build()
+        shapes = record_eigh(monkeypatch)
+        call(arg)
+        assert len(shapes) == count
+
+
+class TestSupportProjector:
+    @pytest.mark.parametrize(
+        "rho, rank",
+        [
+            (PureState(BELL_PLUS, 2, 2).projector(), 2),
+            (PureState(KET_00, 2, 2).projector(), 1),
+            (classically_correlated([0.3, 0.7]), 2),
+        ],
+        ids=["bell", "product", "classical"],
+    )
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_projector_onto_the_support(self, rho, rank, side):
+        p = support_projector(partial_trace(rho, side))
+        assert np.max(np.abs(p - p.conj().T)) <= 1e-15
+        assert np.max(np.abs(p @ p - p)) <= 1e-12
+        assert np.trace(p).real == pytest.approx(rank, abs=1e-12)
 
 
 class TestChecksStayFull:
