@@ -9,11 +9,8 @@ import math
 from .curves import DegenerateFamilyError, PointKind, ProtocolPoint
 
 
-def binary_entropy(x: float) -> float:
-    """H(x) = -x log2 x - (1-x) log2 (1-x) with the 0 log 0 = 0 convention."""
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"binary entropy needs a probability, got {x}")
+def _entropy_bits(x: float) -> float:
+    """H(x) for a float x already known to lie in [0, 1]; no check."""
     if x == 0.0 or x == 1.0:
         return 0.0
     # evaluate on the smaller branch; 1 - x is exact for x >= 1/2 (Sterbenz),
@@ -23,12 +20,26 @@ def binary_entropy(x: float) -> float:
     return -(s * math.log2(s)) - (b * math.log2(b))
 
 
+def _ec_bits(p: float) -> float:
+    """E_c of the Bell mixture for a float p already known to lie in [0, 1/2]."""
+    # p (1 - p) <= 1/4 after rounding too, so the argument stays in [1/2, 1]
+    return _entropy_bits(0.5 + math.sqrt(p * (1.0 - p)))
+
+
+def binary_entropy(x: float) -> float:
+    """H(x) = -x log2 x - (1-x) log2 (1-x) with the 0 log 0 = 0 convention."""
+    x = float(x)
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"binary entropy needs a probability, got {x}")
+    return _entropy_bits(x)
+
+
 def bell_mixture_ec(p: float) -> float:
     """Closed-form entanglement cost of the two-Bell-state mixture family."""
     p = float(p)
     if not 0.0 <= p <= 0.5:
         raise ValueError(f"mixing parameter must lie in [0, 1/2], got {p}")
-    return binary_entropy(0.5 + math.sqrt(p * (1.0 - p)))
+    return _ec_bits(p)
 
 
 def bell_formation_points(p: float) -> list[ProtocolPoint]:
@@ -44,9 +55,9 @@ def bell_formation_points(p: float) -> list[ProtocolPoint]:
             f"formation points need 0 < p < 1/2, got {p}: p=0 is the pure Bell state "
             "(pure-schmidt family), p=1/2 the classical mixture (classical family)"
         )
-    ec = bell_mixture_ec(p)
+    # p is checked once here; the entropy kernels below take it as given
     return [
-        ProtocolPoint(ec, 2.0, PointKind.FORMATION_ENDPOINT_EC, "min-communication"),
+        ProtocolPoint(_ec_bits(p), 2.0, PointKind.FORMATION_ENDPOINT_EC, "min-communication"),
         ProtocolPoint(1.0 - 2.0 * p, 2.0 - 2.0 * p, PointKind.FORMATION_INTERMEDIATE, "split-decomposition"),
-        ProtocolPoint(1.0, 2.0 - binary_entropy(p), PointKind.FORMATION_ENDPOINT_ER, "reversible"),
+        ProtocolPoint(1.0, 2.0 - _entropy_bits(p), PointKind.FORMATION_ENDPOINT_ER, "reversible"),
     ]

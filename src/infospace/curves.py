@@ -3,9 +3,10 @@
 A protocol point is an achievable (Q, I) pair: qubits of quantum
 communication against bits of information. Probabilistic mixing makes the
 achievable set chord-closed, so the boundary of interest is the lower convex
-hull over Q. Formation resources are stored as nonnegative magnitudes; the
-plotting convention that draws them in the lower-left quadrant is applied
-only at render time.
+hull over Q, computed in one place (``_formation_hull``) for both
+``build_lower_envelope`` and ``phase_scan``. Formation resources are stored
+as nonnegative magnitudes; the plotting convention that draws them in the
+lower-left quadrant is applied only at render time.
 """
 
 import bisect
@@ -127,8 +128,38 @@ def chord_mix(p1: ProtocolPoint, p2: ProtocolPoint, lam: float) -> ProtocolPoint
     )
 
 
-def _cross(o: tuple[float, float], a: tuple[float, float], b: tuple[float, float]) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+_BY_Q_THEN_I = operator.attrgetter("q", "i")
+
+
+def _formation_hull(
+    points: Sequence[ProtocolPoint],
+) -> tuple[list[ProtocolPoint], list[tuple[float, float]]]:
+    """The points sorted by (q, i), and their lower convex hull over q.
+
+    The one hull routine: :func:`build_lower_envelope` wraps it in a curve,
+    and :func:`phase_scan` reads the vertex list directly, so a steepest-probe
+    sample builds no :class:`InformationCurve`.
+    """
+    if len(points) < 2:
+        raise ValueError("envelope construction needs at least two protocol points")
+    kinds = [p.kind for p in points]
+    if PointKind.FORMATION_ENDPOINT_EC not in kinds or PointKind.FORMATION_ENDPOINT_ER not in kinds:
+        raise ValueError("formation envelopes need both extreme points present")
+    ordered = sorted(points, key=_BY_Q_THEN_I)
+    hull: list[tuple[float, float]] = []
+    for p in ordered:
+        q, i = p.q, p.i
+        # one vertex per q: only the lowest point can lie on a function graph
+        if hull and hull[-1][0] == q:
+            continue
+        # pop while the last vertex lies strictly above the chord to (q, i)
+        while len(hull) >= 2:
+            (q0, i0), (q1, i1) = hull[-2], hull[-1]
+            if (q1 - q0) * (i - i0) - (i1 - i0) * (q - q0) >= 0.0:
+                break
+            hull.pop()
+        hull.append((q, i))
+    return ordered, hull
 
 
 def build_lower_envelope(points: Sequence[ProtocolPoint]) -> InformationCurve:
@@ -137,27 +168,10 @@ def build_lower_envelope(points: Sequence[ProtocolPoint]) -> InformationCurve:
     Chords between achievable points are achievable, so this is the boundary
     of the achievable region. Points exactly on a chord stay as vertices,
     which makes re-running the construction on its own output a no-op. Both
-    extreme formation points must be among the inputs.
+    extreme formation points must be among the inputs. The hull itself is
+    :func:`_formation_hull`, shared with :func:`phase_scan`.
     """
-    if len(points) < 2:
-        raise ValueError("envelope construction needs at least two protocol points")
-    if not (
-        any(p.kind is PointKind.FORMATION_ENDPOINT_EC for p in points)
-        and any(p.kind is PointKind.FORMATION_ENDPOINT_ER for p in points)
-    ):
-        raise ValueError("formation envelopes need both extreme points present")
-    ordered = sorted(points, key=operator.attrgetter("q", "i"))
-    # one candidate per q: only the lowest point can lie on a function graph
-    candidates: list[tuple[float, float]] = []
-    for p in ordered:
-        if candidates and candidates[-1][0] == p.q:
-            continue
-        candidates.append((p.q, p.i))
-    hull: list[tuple[float, float]] = []
-    for c in candidates:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], c) < 0.0:
-            hull.pop()
-        hull.append(c)
+    ordered, hull = _formation_hull(points)
     return InformationCurve(kind=CurveKind.FORMATION, points=tuple(ordered), envelope=tuple(hull))
 
 
@@ -276,8 +290,7 @@ def complementarity_check(i_l_at_q: float, q: float, i_l_zero: float) -> Complem
     )
 
 
-@dataclass(frozen=True)
-class ScanSample:
+class ScanSample(NamedTuple):
     """Slope probe of one family member."""
 
     p: float
@@ -296,20 +309,6 @@ class PhaseScanResult:
     threshold: float
 
 
-def _steepest_segment(curve: InformationCurve) -> tuple[float, float]:
-    """(midpoint q, slope) of the envelope segment with the largest |slope|."""
-    env = curve.envelope
-    best_q = best_slope = 0.0
-    best_abs = -1.0
-    for v1, v2 in zip(env, env[1:]):
-        slope = _segment_slope(v1, v2)
-        if abs(slope) > best_abs:
-            best_abs = abs(slope)
-            best_slope = slope
-            best_q = 0.5 * (v1[0] + v2[0])
-    return best_q, best_slope
-
-
 def phase_scan(
     points_for: Callable[[float], Sequence[ProtocolPoint]],
     p_grid: Sequence[float],
@@ -319,31 +318,45 @@ def phase_scan(
     """Sweep a one-parameter family and probe the formation-curve slope.
 
     ``points_for`` maps a parameter to the family's formation protocol
-    points. Parameters where the family degenerates to a point or line yield
-    slope-0 samples flagged degenerate. The divergence flag fires when the
-    final |slope| exceeds the threshold and |slope| grows strictly over the
-    last quartile of the grid.
+    points. Their lower hull comes from the routine behind
+    :func:`build_lower_envelope`, and the ``"steepest"`` probe reads the
+    midpoint of the segment with the largest |slope| (the first on a tie)
+    straight off its vertex list. Parameters where the family degenerates to
+    a point or line yield slope-0 samples flagged degenerate. The divergence
+    flag fires when the final |slope| exceeds the threshold and |slope|
+    grows strictly over the last quartile of the grid.
     """
+    steepest = probe == "steepest"
     samples: list[ScanSample] = []
     for p in sorted(float(x) for x in p_grid):
         try:
             pts = points_for(p)
         except DegenerateFamilyError:
-            samples.append(ScanSample(p=p, q_at=0.0, slope=0.0, chi=math.inf, degenerate=True))
+            samples.append(ScanSample(p, 0.0, 0.0, math.inf, True))
             continue
-        curve = build_lower_envelope(pts)
-        if len(curve.envelope) < 2:
-            samples.append(ScanSample(p=p, q_at=curve.envelope[0][0], slope=0.0, chi=math.inf, degenerate=True))
+        ordered, env = _formation_hull(pts)
+        if len(env) < 2:
+            samples.append(ScanSample(p, env[0][0], 0.0, math.inf, True))
             continue
-        if probe == "steepest":
-            q_at, slope = _steepest_segment(curve)
+        if steepest:
+            # the segment with the largest |slope|; the first one wins a tie
+            best_abs = -1.0
+            q1, i1 = env[0]
+            for q2, i2 in env[1:]:
+                segment = (i2 - i1) / (q2 - q1)
+                if abs(segment) > best_abs:
+                    best_abs = abs(segment)
+                    slope = segment
+                    q_at = 0.5 * (q1 + q2)
+                q1, i1 = q2, i2
         else:
             q_at = float(probe)
+            curve = InformationCurve(CurveKind.FORMATION, tuple(ordered), tuple(env))
             lo, _ = curve.domain()
             # chi reads side only on a vertex; the first vertex has only a right segment
             side = "right" if abs(q_at - lo) <= _VERTEX_SNAP else "left"
             slope = chi(curve, q_at, side=side).slope
-        samples.append(ScanSample(p=p, q_at=q_at, slope=slope, chi=_chi_of_slope(slope)))
+        samples.append(ScanSample(p, q_at, slope, _chi_of_slope(slope)))
     live = [abs(s.slope) for s in samples if not s.degenerate]
     flag = False
     if len(live) >= 2 and live[-1] > divergence_threshold:

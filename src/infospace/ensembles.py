@@ -384,17 +384,28 @@ def ensemble_from_dict(d: dict, tol: Tolerances = DEFAULT) -> Ensemble:
         raise ValueError(f"malformed ensemble document: {exc}") from exc
     # before any component: a pure one costs O(d) in the file but O(d^2) in memory
     _require_dim(dim_a * dim_b, tol)
+    if not isinstance(raw, list):
+        raise ValueError("malformed ensemble document: components must be a list")
     components: list[tuple[float, DensityOperator | PureState]] = []
-    for entry in raw:
-        weight = float(entry["weight"])
+    for k, entry in enumerate(raw):
+        if not (isinstance(entry, dict) and all(key in entry for key in ("weight", "type", "data"))):
+            raise ValueError(
+                f"malformed ensemble document: component {k} must be an object "
+                "with weight, type and data"
+            )
         kind = entry["type"]
-        data = entry["data"]
-        if kind == "pure":
-            amplitudes = np.array([complex(re, im) for re, im in data])
-            components.append((weight, PureState(amplitudes, dim_a, dim_b)))
-        elif kind == "mixed":
-            matrix = np.array([[complex(re, im) for re, im in row] for row in data])
-            components.append((weight, validate_density(matrix, dim_a, dim_b, tol)))
-        else:
+        if kind not in ("pure", "mixed"):
             raise ValueError(f"component type must be 'pure' or 'mixed', got {kind!r}")
+        try:
+            weight = float(entry["weight"])
+            if kind == "pure":
+                values = np.array([complex(re, im) for re, im in entry["data"]])
+            else:
+                values = np.array([[complex(re, im) for re, im in row] for row in entry["data"]])
+        except (TypeError, ValueError) as exc:  # data that is not (re, im) pairs, say
+            raise ValueError(f"malformed ensemble document: component {k}: {exc}") from exc
+        if kind == "pure":
+            components.append((weight, PureState(values, dim_a, dim_b)))
+        else:
+            components.append((weight, validate_density(values, dim_a, dim_b, tol)))
     return Ensemble(tuple(components))

@@ -19,7 +19,9 @@ if TYPE_CHECKING:
 
 def fmt(x) -> str:
     """Nine-significant-digit, locale-free decimal rendering of a number."""
-    if isinstance(x, numbers.Integral):  # numpy registers its integer scalars here
+    # a plain float skips the ABC check, which is the slow part of a call;
+    # numpy registers its integer scalars as Integral
+    if type(x) is not float and isinstance(x, numbers.Integral):
         return str(int(x))
     out = f"{float(x):.9g}"  # nan, inf and -inf print as themselves
     return "0" if out == "-0" else out

@@ -90,6 +90,24 @@ class TestEntropy:
         assert code == 0
         assert json.loads(out)["s_total"] == pytest.approx(0.811278124, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "components",
+        [
+            [1],  # an entry that is not an object
+            [{"weight": 1.0, "type": "pure"}],  # no data
+            [{"weight": 1.0, "type": "pure", "data": [1, 0, 0, 0]}],  # numbers, not (re, im) pairs
+            [{"weight": 1.0, "type": "mixed", "data": [[1, 0], [0, 0]]}],  # rows of numbers
+            [{"weight": 1.0, "type": "pure", "data": [[1, 0, 0], [0, 0], [0, 0], [0, 0]]}],
+        ],
+    )
+    def test_malformed_ensemble_exits_one(self, capsys, tmp_path, components):
+        path = tmp_path / "ens.json"
+        path.write_text(json.dumps({"dims": [2, 2], "components": components}))
+        code, out, err = run(["entropy", "--ensemble", str(path)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("malformed ensemble document: component 0")
+        assert err.count("\n") == 1
+
     def test_missing_input(self, capsys):
         code, _, err = run(["entropy"], capsys)
         assert code == 1

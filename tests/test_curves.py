@@ -9,6 +9,7 @@ from infospace import (
     InformationCurve,
     PointKind,
     ProtocolPoint,
+    ScanSample,
     bell_formation_points,
     bell_mixture_ec,
     build_lower_envelope,
@@ -337,6 +338,92 @@ class TestPhaseScan:
         result = phase_scan(bell_formation_points, [0.25])
         sample = result.samples[0]
         assert bell_mixture_ec(0.25) < sample.q_at < 0.5
+
+
+# a seeded grid plus the boundaries and the small p where the split point
+# leaves the envelope (below p ~ 0.03 it has two vertices, not three)
+SCAN_GRID = sorted([*np.random.default_rng(9).uniform(0.0, 0.5, 400), 0.0, 0.01, 0.02, 0.5])
+
+
+def _reference_chi(slope: float) -> float:
+    return math.copysign(math.inf, slope) if slope == 0.0 else 1.0 / slope
+
+
+def reference_sample(points_for, p: float, probe) -> ScanSample:
+    """One scan sample from the public envelope and a max-|slope| segment search."""
+    try:
+        pts = points_for(p)
+    except DegenerateFamilyError:
+        return ScanSample(p, 0.0, 0.0, math.inf, True)
+    curve = build_lower_envelope(pts)
+    env = curve.envelope
+    if len(env) < 2:
+        return ScanSample(p, env[0][0], 0.0, math.inf, True)
+    if probe != "steepest":
+        side = "right" if abs(probe - env[0][0]) <= 1e-9 else "left"
+        value = chi(curve, probe, side=side)
+        return ScanSample(p, probe, value.slope, value.chi)
+    slopes = [(v2[1] - v1[1]) / (v2[0] - v1[0]) for v1, v2 in zip(env, env[1:])]
+    k = max(range(len(slopes)), key=lambda j: abs(slopes[j]))  # max keeps the first on a tie
+    return ScanSample(p, 0.5 * (env[k][0] + env[k + 1][0]), slopes[k], _reference_chi(slopes[k]))
+
+
+class TestPhaseScanEquivalence:
+    def test_steepest_matches_envelope_search(self):
+        samples = phase_scan(bell_formation_points, SCAN_GRID).samples
+        assert len(samples) == len(SCAN_GRID)
+        for sample, p in zip(samples, SCAN_GRID):
+            assert sample == reference_sample(bell_formation_points, p, "steepest")
+        assert {len(bell_curve(p).envelope) for p in SCAN_GRID if 0.0 < p < 0.5} == {2, 3}
+
+    def test_fixed_probe_matches_chi(self):
+        grid = [p for p in SCAN_GRID if not 0.0 < p < 0.5 or bell_mixture_ec(p) < 0.9]
+        samples = phase_scan(bell_formation_points, grid, probe=0.9).samples
+        for sample, p in zip(samples, grid):
+            assert sample == reference_sample(bell_formation_points, p, 0.9)
+
+    def test_probe_on_first_vertex_matches_chi(self):
+        for p in SCAN_GRID[1:-1]:
+            q = bell_mixture_ec(p)
+            (sample,) = phase_scan(bell_formation_points, [p], probe=q).samples
+            assert sample == reference_sample(bell_formation_points, p, q)
+
+    @pytest.mark.parametrize("probe", ["steepest", 0.7])
+    def test_single_vertex_envelope_is_degenerate(self, probe):
+        e = 0.7
+        points = formation_endpoints(2.0, 0.0, e, e)  # EC and ER share q
+        (sample,) = phase_scan(lambda p: points, [0.3], probe=probe).samples
+        assert sample == ScanSample(0.3, e, 0.0, math.inf, True)
+
+    def test_equally_steep_collinear_segments_first_wins(self):
+        points = [
+            ProtocolPoint(1.0, 1.0, PointKind.FORMATION_ENDPOINT_ER),
+            ProtocolPoint(0.5, 1.5, PointKind.FORMATION_INTERMEDIATE),
+            ProtocolPoint(0.0, 2.0, PointKind.FORMATION_ENDPOINT_EC),
+        ]
+        assert build_lower_envelope(points).envelope == ((0.0, 2.0), (0.5, 1.5), (1.0, 1.0))
+        (sample,) = phase_scan(lambda p: points, [0.2]).samples
+        assert sample == ScanSample(0.2, 0.25, -1.0, -1.0)
+
+
+class TestScanSample:
+    def test_positional_and_keyword_construction(self):
+        by_position = ScanSample(0.25, 0.4, -3.0, -1 / 3)
+        by_keyword = ScanSample(p=0.25, q_at=0.4, slope=-3.0, chi=-1 / 3)
+        assert by_position == by_keyword
+        assert (by_position.p, by_position.q_at, by_position.slope) == (0.25, 0.4, -3.0)
+        assert by_position.degenerate is False
+        assert ScanSample(0.0, 0.0, 0.0, math.inf, degenerate=True).degenerate is True
+
+    def test_field_order(self):
+        assert ScanSample._fields == ("p", "q_at", "slope", "chi", "degenerate")
+        assert tuple(ScanSample(0.1, 0.2, 0.3, 0.4)) == (0.1, 0.2, 0.3, 0.4, False)
+
+    def test_immutable_and_hashable(self):
+        sample = ScanSample(0.25, 0.4, -3.0, -1 / 3)
+        with pytest.raises(AttributeError):
+            sample.slope = 1.0
+        assert len({sample, ScanSample(0.25, 0.4, -3.0, -1 / 3)}) == 1
 
 
 class TestProtocolPoint:

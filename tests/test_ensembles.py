@@ -445,6 +445,11 @@ class TestEnsembleJson:
         with pytest.raises(ValueError, match="malformed"):
             ensemble_from_dict({"components": []})
 
+    @pytest.mark.parametrize("components", [5, "ab", [[1.0, "pure", []]]])
+    def test_components_not_a_list_of_objects(self, components):
+        with pytest.raises(ValueError, match="malformed ensemble document"):
+            ensemble_from_dict({"dims": [2, 2], "components": components})
+
     def test_dimension_cap_before_components(self):
         amplitudes = [[1.0, 0.0]] + [[0.0, 0.0]] * 255
         doc = {"dims": [16, 16], "components": [{"weight": 1.0, "type": "pure", "data": amplitudes}]}

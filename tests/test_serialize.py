@@ -31,6 +31,33 @@ class TestFmt:
     def test_tiny_values_fall_back_to_scientific(self):
         assert fmt(2.220446049250313e-16) == "2.22044605e-16"
 
+    @pytest.mark.parametrize(
+        "x, text",
+        [
+            (1 / 3, "0.333333333"),
+            (123456789012.0, "1.23456789e+11"),
+            (5e-324, "4.94065646e-324"),
+            (np.float64(0.8112781244591328), "0.811278124"),
+            (np.float64(2.0), "2"),
+            (np.float64(-0.0), "0"),
+            (np.float32(0.1), "0.100000001"),
+            (np.float32(-0.0), "0"),
+            (True, "1"),
+            (False, "0"),
+            (np.int64(-5), "-5"),
+            (np.int64(2**40), "1099511627776"),
+            (-0.0, "0"),
+            (math.nan, "nan"),
+            (np.float64("nan"), "nan"),
+            (math.inf, "inf"),
+            (-math.inf, "-inf"),
+            (np.float64("-inf"), "-inf"),
+        ],
+    )
+    def test_rendering_by_type(self, x, text):
+        # the plain-float fast path and the Integral branch must agree with float(x)
+        assert fmt(x) == text
+
     def test_fnum_round_trips(self):
         assert fnum(0.8112781244591328) == 0.811278124
 
