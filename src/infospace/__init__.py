@@ -49,8 +49,6 @@ _EXPORTS = {
         "LocalOrthogonality",
         "NotApplicable",
         "NotCertifiedOrthogonal",
-        "ProductBasis",
-        "ProductBasisResult",
         "assumed_exact_values",
         "ensemble_average",
         "ensemble_from_dict",
@@ -58,15 +56,17 @@ _EXPORTS = {
         "formation_point",
         "formation_surplus_bound",
         "local_orthogonality_check",
-        "product_eigenbasis_check",
         "reversible_cost_bound",
     ),
     "families": (
         "Classification",
+        "ProductBasis",
+        "ProductBasisResult",
         "StateCategory",
         "bell_mixture",
         "classically_correlated",
         "classify",
+        "product_eigenbasis_check",
         "pure_schmidt",
     ),
     "linalg": (

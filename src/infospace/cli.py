@@ -117,11 +117,12 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_entropy(args) -> int:
-    from .ensembles import ensemble_average, ensemble_from_dict
     from .measures import measure_report
     from .serialize import dump_state
 
     if args.ensemble:
+        from .ensembles import ensemble_average, ensemble_from_dict
+
         with open(args.ensemble, "r", encoding="utf-8") as fh:
             rho = ensemble_average(ensemble_from_dict(json.load(fh)))
     else:
@@ -233,8 +234,7 @@ def cmd_curve(args) -> int:
         _emit(points_csv(points, envelopes), args.out)
     if args.svg:
         title = f"information-space curves ({spec.kind})"
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(_curve_svg(points, envelopes, args.paper_axes, title))
+        _emit(_curve_svg(points, envelopes, args.paper_axes, title), args.svg)
     return EXIT_OK
 
 
@@ -255,8 +255,7 @@ def cmd_phase_scan(args) -> int:
     if args.svg:
         envelopes = [(f"p={fmt(p)}", build_lower_envelope(bell_formation_points(p))) for p in grid]
         svg = _curve_svg([], envelopes, args.paper_axes, "formation curves across the family")
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        _emit(svg, args.svg)
     return EXIT_OK
 
 

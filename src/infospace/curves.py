@@ -34,13 +34,6 @@ FORMATION_KINDS = frozenset(
         PointKind.FORMATION_INTERMEDIATE,
     }
 )
-EXTRACTION_KINDS = frozenset(
-    {
-        PointKind.EXTRACTION_ZERO,
-        PointKind.EXTRACTION_DISTILL,
-        PointKind.EXTRACTION_REVERSIBLE,
-    }
-)
 
 _VERTEX_SNAP = 1e-9  # distance below which a probe counts as sitting on a vertex
 
@@ -105,20 +98,13 @@ def formation_endpoints(
     )
 
 
-def _kind_family(kind: PointKind) -> CurveKind | None:
-    if kind in FORMATION_KINDS:
-        return CurveKind.FORMATION
-    if kind in EXTRACTION_KINDS:
-        return CurveKind.EXTRACTION
-    return None  # Chord points attach to either curve
-
-
 def chord_mix(p1: ProtocolPoint, p2: ProtocolPoint, lam: float) -> ProtocolPoint:
     """Convex combination of two protocol points (coin-weighted protocols)."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {lam}")
-    fam1, fam2 = _kind_family(p1.kind), _kind_family(p2.kind)
-    if fam1 is not None and fam2 is not None and fam1 is not fam2:
+    # a chord attaches to either curve; every other kind is formation or extraction
+    chord = PointKind.CHORD in (p1.kind, p2.kind)
+    if not chord and (p1.kind in FORMATION_KINDS) != (p2.kind in FORMATION_KINDS):
         raise ValueError(f"cannot mix points of different curve kinds: {p1.kind} vs {p2.kind}")
     return ProtocolPoint(
         (1.0 - lam) * p1.q + lam * p2.q,
@@ -186,8 +172,6 @@ def curve_value(curve: InformationCurve, q: float) -> float:
     k = bisect.bisect_right(qs, q)
     if k == len(env):
         return env[-1][1]
-    if k == 0:
-        return env[0][1]
     (q1, i1), (q2, i2) = env[k - 1], env[k]
     if q2 == q1:
         return i1

@@ -6,17 +6,18 @@ to an ancilla and reset, all by local means) is not decidable here. A positive
 certificate is sound, a negative one is inconclusive.
 """
 
-import cmath
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import PointKind, ProtocolPoint
+# the product-eigenbasis decision lives beside classify; its names stay importable from here
+from .families import ProductBasis, ProductBasisResult, product_eigenbasis_check  # noqa: F401
 from .linalg import (
     DensityOperator,
     PureState,
+    _document_dims,
     _require_dim,
     partial_trace,
     support_projector,
@@ -131,111 +132,6 @@ def local_orthogonality_check(e: Ensemble, tol: Tolerances = DEFAULT) -> LocalOr
         if ok:
             return LocalOrthogonality(True, side)
     return LocalOrthogonality(False, None)
-
-
-class ProductBasis(enum.Enum):
-    PRODUCT = "product"
-    NO = "no"
-
-
-@dataclass(frozen=True)
-class ProductBasisResult:
-    """Verdict plus, for PRODUCT, the product eigenbasis itself.
-
-    ``basis`` holds (eigenvalue, a_factor, b_factor) triples covering the
-    whole space, eigenspace by eigenspace.
-    """
-
-    status: ProductBasis
-    basis: tuple[tuple[float, np.ndarray, np.ndarray], ...] | None = None
-
-
-def _schmidt_factors(vec: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Second Schmidt coefficient and the dominant product factors of a two-qubit vector."""
-    # the singular value itself, not sqrt(1 - s0^2), which would lift ~1e-16
-    # of roundoff to ~1e-8 and fail the tol.schmidt test on product vectors
-    u, s, vh = np.linalg.svd(vec.reshape(2, 2))
-    return float(s[1]), u[:, 0], vh[0]
-
-
-def _qubit_complement(x: np.ndarray) -> np.ndarray:
-    """The unit qubit vector orthogonal to ``x``."""
-    return np.array([-x[1].conjugate(), x[0].conjugate()])
-
-
-def _product_pair(v1: np.ndarray, v2: np.ndarray, tol: Tolerances):
-    """Orthonormal product basis of span{v1, v2} in C^2 (x) C^2, or None.
-
-    The product vectors x v1 + y v2 are the roots [x:y] of the binary
-    quadratic det(x M1 + y M2) = qa x^2 + qb xy + qc y^2, with M the vector
-    reshaped to 2x2. A form that vanishes identically means the span is
-    a (x) C^2 or C^2 (x) b, where every vector, v1 and v2 included, is
-    product. Otherwise the span holds at most two product directions, and it
-    has a product basis exactly when they are orthogonal.
-    """
-    m1, m2 = v1.reshape(2, 2), v2.reshape(2, 2)
-    qa = m1[0, 0] * m1[1, 1] - m1[0, 1] * m1[1, 0]
-    qc = m2[0, 0] * m2[1, 1] - m2[0, 1] * m2[1, 0]
-    qb = m1[0, 0] * m2[1, 1] + m2[0, 0] * m1[1, 1] - m1[0, 1] * m2[1, 0] - m2[0, 1] * m1[1, 0]
-    # |det M| = s1 s2 for a unit vector: the coefficients live on the Schmidt scale
-    if max(abs(qa), abs(qb), abs(qc)) <= tol.schmidt:
-        return [_schmidt_factors(v)[1:] for v in (v1, v2)]
-    # homogeneous roots [t : qa] and [qc : t] with t^2 + qb t + qa qc = 0;
-    # the sign keeps qb and the discriminant root from cancelling
-    d = cmath.sqrt(qb * qb - 4.0 * qa * qc)
-    if (qb.conjugate() * d).real < 0.0:
-        d = -d
-    t = -(qb + d) / 2.0
-    r1, r2 = t * v1 + qa * v2, qc * v1 + t * v2
-    n1, n2 = float(np.linalg.norm(r1)), float(np.linalg.norm(r2))
-    # a double root leaves one product direction (the other root vector is 0)
-    if n1 * n2 == 0.0 or abs(complex(np.vdot(r1, r2))) > tol.overlap * n1 * n2:
-        return None
-    return [_schmidt_factors(r / n)[1:] for r, n in ((r1, n1), (r2, n2))]
-
-
-def product_eigenbasis_check(rho: DensityOperator, tol: Tolerances = DEFAULT) -> ProductBasisResult:
-    """Decide whether a two-qubit state has an orthonormal product eigenbasis.
-
-    The decision is exact, eigenspace by eigenspace (2 (x) 2 has no
-    unextendible product bases): a 1-dim eigenspace by the Schmidt rank of
-    its vector, a 2-dim one by the roots of a binary quadratic (see
-    ``_product_pair``), a 3-dim one by its 1-dim complement, and the 4-dim
-    space always has the computational basis. The verdict is PRODUCT, with
-    the basis, or NO.
-    """
-    if (rho.dim_a, rho.dim_b) != (2, 2):
-        raise ValueError(f"product-eigenbasis check needs a two-qubit state, got dims "
-                         f"({rho.dim_a}, {rho.dim_b})")
-    w, v = rho.eigensystem(tol)
-    groups: list[list[int]] = [[0]]
-    for k in range(1, len(w)):
-        if w[k] - w[groups[-1][-1]] <= tol.eigen_residual:
-            groups[-1].append(k)
-        else:
-            groups.append([k])
-    basis: list[tuple[float, np.ndarray, np.ndarray]] = []
-    for group in groups:
-        if len(group) == 1:
-            c2, a, b = _schmidt_factors(v[:, group[0]])
-            if c2 > tol.schmidt:
-                return ProductBasisResult(ProductBasis.NO)
-            basis.append((float(w[group[0]]), a, b))
-    for group in groups:
-        mean_val = float(np.mean(w[group]))
-        if len(group) == 2:
-            pair = _product_pair(v[:, group[0]], v[:, group[1]], tol)
-            if pair is None:
-                return ProductBasisResult(ProductBasis.NO)
-            basis.extend((mean_val, a, b) for a, b in pair)
-        elif len(group) == 3:
-            _, a, b = basis[0]  # the 1-dim complement, product by now
-            a_perp, b_perp = _qubit_complement(a), _qubit_complement(b)
-            basis.extend((mean_val, x, y) for x, y in ((a_perp, b), (a, b_perp), (a_perp, b_perp)))
-        elif len(group) == 4:
-            e = np.eye(2, dtype=complex)
-            basis.extend((mean_val, e[i], e[j]) for i in range(2) for j in range(2))
-    return ProductBasisResult(ProductBasis.PRODUCT, tuple(basis))
 
 
 def _component_cost(state, tol: Tolerances) -> ComponentCost:
@@ -377,10 +273,10 @@ def ensemble_to_dict(e: Ensemble) -> dict:
 
 def ensemble_from_dict(d: dict, tol: Tolerances = DEFAULT) -> Ensemble:
     """Parse the ensemble JSON schema, validating every component."""
+    dim_a, dim_b = _document_dims(d, "ensemble")
     try:
-        dim_a, dim_b = (int(x) for x in d["dims"])
         raw = d["components"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed ensemble document: {exc}") from exc
     # before any component: a pure one costs O(d) in the file but O(d^2) in memory
     _require_dim(dim_a * dim_b, tol)

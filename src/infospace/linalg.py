@@ -80,6 +80,20 @@ def _require_dim(dim: int, tol: Tolerances) -> None:
         raise ValueError(f"dimension {dim} exceeds the configured cap of {tol.max_dim}")
 
 
+def _document_dims(doc, what: str) -> tuple[int, int]:
+    """The dims of a state or ensemble file: two positive ints; 2.9, true and "2" are refused."""
+    try:
+        dims = doc["dims"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {what} document: {exc}") from exc
+    pair = isinstance(dims, (list, tuple)) and len(dims) == 2
+    if not (pair and all(type(x) is int and x > 0 for x in dims)):
+        raise ValueError(
+            f"malformed {what} document: dims must be two positive integers, got {dims!r}"
+        )
+    return dims[0], dims[1]
+
+
 def _require_hermitian(residual: float, tol: Tolerances) -> None:
     if residual > tol.hermiticity:
         raise NotHermitian(residual)
@@ -193,7 +207,7 @@ class PureState:
         if not np.all(np.isfinite(v)):
             raise ValueError("amplitudes must be finite")
         residual = abs(float(np.vdot(v, v).real) - 1.0)
-        if residual > DEFAULT.norm:
+        if residual > DEFAULT.trace:
             raise ValueError(f"state vector not normalized, | ||psi||^2 - 1 | = {residual:.3g}")
         object.__setattr__(self, "amplitudes", _read_only(v.copy()))
 

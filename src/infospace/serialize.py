@@ -45,10 +45,10 @@ def state_from_dict(d: dict, tol: Tolerances = DEFAULT) -> DensityOperator:
     """Parse and fully validate a state-file document."""
     import numpy as np
 
-    from .linalg import validate_density
+    from .linalg import _document_dims, validate_density
 
+    dim_a, dim_b = _document_dims(d, "state")
     try:
-        dim_a, dim_b = (int(x) for x in d["dims"])
         re = np.asarray(d["matrix_re"], dtype=float)
         im = np.asarray(d["matrix_im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:

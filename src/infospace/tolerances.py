@@ -11,8 +11,7 @@ class Tolerances:
     """
 
     hermiticity: float = 1e-10        # max entrywise |M - M^dag|
-    trace: float = 1e-10              # |tr(rho) - 1|
-    norm: float = 1e-10               # | ||psi||^2 - 1 | for state vectors
+    trace: float = 1e-10              # |tr(rho) - 1|; also | ||psi||^2 - 1 |, the trace of |psi><psi|
     positivity_floor: float = -1e-9   # smallest admissible eigenvalue
     eigen_residual: float = 1e-9      # |M v - lambda v| per eigenpair; also degeneracy gap
     support_cutoff: float = 1e-10     # eigenvalue > cutoff counts toward the support

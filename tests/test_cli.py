@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 import infospace
-from infospace import bell_mixture, dump_state, ensemble_to_dict, load_state, validate_density
+from infospace import (
+    bell_mixture,
+    dump_state,
+    ensemble_to_dict,
+    load_state,
+    state_to_dict,
+    validate_density,
+)
 from infospace.cli import main
 from helpers import global_aabb, split_decomposition
 
@@ -314,6 +321,47 @@ class TestClassify:
         code, out, _ = run(["classify", "--state", str(path)], capsys)
         assert code == 0
         assert '"product_eigenbasis": "no"' in out
+
+
+_MISSING = object()
+
+
+def _file_with_dims(kind, dims, tmp_path):
+    if kind == "state":
+        doc = state_to_dict(bell_mixture(0.25))
+    else:
+        pure = {"weight": 1.0, "type": "pure", "data": [[1, 0], [0, 0], [0, 0], [0, 0]]}
+        doc = {"dims": [2, 2], "components": [pure]}
+    if dims is _MISSING:
+        del doc["dims"]
+    else:
+        doc["dims"] = dims
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestDocumentDims:
+    COMMANDS = {"state": ["classify", "--state"], "ensemble": ["entropy", "--ensemble"]}
+
+    @pytest.mark.parametrize("kind", ["state", "ensemble"])
+    @pytest.mark.parametrize(
+        "dims",
+        # the first three were once coerced to 2x2, 1x4 and 2x2
+        [[2.9, 2.2], [True, 4], ["2", "2"], [2], [0, 4], [2, 2, 1], "22", _MISSING],
+        ids=["floats", "bool", "strings", "one", "zero", "three", "string", "missing"],
+    )
+    def test_malformed_dims_exit_one(self, capsys, tmp_path, kind, dims):
+        path = _file_with_dims(kind, dims, tmp_path)
+        code, out, err = run([*self.COMMANDS[kind], path], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"malformed {kind} document: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["state", "ensemble"])
+    def test_integer_dims_still_load(self, capsys, tmp_path, kind):
+        code, out, _ = run([*self.COMMANDS[kind], _file_with_dims(kind, [2, 2], tmp_path)], capsys)
+        assert code == 0 and out
 
 
 class TestCliContract:

@@ -75,6 +75,22 @@ class TestChordMix:
         with pytest.raises(ValueError, match="curve kinds"):
             chord_mix(a, b, 0.5)
 
+    def test_refuses_exactly_formation_with_extraction(self):
+        extraction = {
+            PointKind.EXTRACTION_ZERO,
+            PointKind.EXTRACTION_DISTILL,
+            PointKind.EXTRACTION_REVERSIBLE,
+        }
+        formation = set(PointKind) - extraction - {PointKind.CHORD}
+        for k1 in PointKind:
+            for k2 in PointKind:
+                a, b = ProtocolPoint(0.1, 1.0, k1), ProtocolPoint(0.3, 0.8, k2)
+                if {k1, k2} & formation and {k1, k2} & extraction:
+                    with pytest.raises(ValueError, match="curve kinds"):
+                        chord_mix(a, b, 0.5)
+                else:
+                    assert chord_mix(a, b, 0.5).kind is PointKind.CHORD
+
     def test_weight_domain(self):
         a = ProtocolPoint(0.1, 1.0, PointKind.CHORD)
         with pytest.raises(ValueError):

@@ -97,13 +97,24 @@ class TestImportFootprint:
         report = run_child(["entropy", "--family", "bell-mixture", "--p", "0.25"], tmp_path)
         assert report["code"] == 0
         assert "numpy" in report["modules"] and not loads_xml_sax(report["modules"])
+        assert "infospace.ensembles" not in report["modules"]
         doc = json.loads(report["stdout"])
         assert doc["eof"] == 0.354578903 and doc["ppt_min_eig"] == -0.25
+
+    def test_entropy_of_an_ensemble_loads_ensembles(self, tmp_path):
+        pure = {"weight": 1.0, "type": "pure", "data": [[1, 0], [0, 0], [0, 0], [0, 0]]}
+        (tmp_path / "ens.json").write_text(json.dumps({"dims": [2, 2], "components": [pure]}))
+        report = run_child(["entropy", "--ensemble", "ens.json"], tmp_path)
+        assert report["code"] == 0
+        assert "infospace.ensembles" in report["modules"]
+        assert json.loads(report["stdout"])["s_total"] == 0
 
     def test_classify_loads_numpy_and_reports(self, tmp_path):
         report = run_child(["classify", "--family", "classical", "--probs", "0.3,0.7"], tmp_path)
         assert report["code"] == 0
         assert "numpy" in report["modules"]
+        # the product-eigenbasis decision lives beside classify
+        assert not {"infospace.ensembles", "infospace.measures"} & report["modules"]
         doc = json.loads(report["stdout"])
         assert doc["category"] == "ClassicallyCorrelated"
         assert doc["evidence"]["product_eigenbasis"] == "product"
@@ -143,6 +154,10 @@ class TestLazyNamespace:
         assert measures.binary_entropy is infospace.binary_entropy
         assert measures.bell_mixture_ec is infospace.bell_mixture_ec
         assert families.bell_formation_points is infospace.bell_formation_points
+        ensembles = importlib.import_module("infospace.ensembles")
+        for name in ("product_eigenbasis_check", "ProductBasis", "ProductBasisResult"):
+            assert getattr(ensembles, name) is getattr(infospace, name)
+            assert getattr(infospace, name).__module__ == "infospace.families"
 
     def test_star_import_binds_exactly_all(self):
         namespace = {}

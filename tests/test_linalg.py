@@ -11,6 +11,7 @@ from infospace import (
     NotHermitian,
     NotPositive,
     PureState,
+    Tolerances,
     TraceNotOne,
     bell_mixture,
     hermitian_eigensystem,
@@ -277,6 +278,14 @@ class TestStateTypes:
     def test_pure_state_norm_check(self):
         with pytest.raises(ValueError, match="normalized"):
             PureState(np.array([1.0, 0.5, 0.0, 0.0]), 2, 2)
+
+    def test_pure_state_norm_reads_the_trace_tolerance(self):
+        # ||psi||^2 is the trace of |psi><psi|, so there is no separate norm field
+        PureState(np.array([np.sqrt(1.0 + DEFAULT.trace / 2), 0.0, 0.0, 0.0]), 2, 2)
+        with pytest.raises(ValueError, match="normalized"):
+            PureState(np.array([np.sqrt(1.0 + 2 * DEFAULT.trace), 0.0, 0.0, 0.0]), 2, 2)
+        with pytest.raises(TypeError):
+            Tolerances(norm=1e-3)
 
     def test_density_operator_immutable(self):
         rho = bell_mixture(0.2)
