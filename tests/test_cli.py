@@ -347,7 +347,7 @@ class TestDocumentDims:
     @pytest.mark.parametrize("kind", ["state", "ensemble"])
     @pytest.mark.parametrize(
         "dims",
-        # the first three were once coerced to 2x2, 1x4 and 2x2
+        # int() per entry would read floats, [true, 4], ["2", "2"] and "22" as dims
         [[2.9, 2.2], [True, 4], ["2", "2"], [2], [0, 4], [2, 2, 1], "22", _MISSING],
         ids=["floats", "bool", "strings", "one", "zero", "three", "string", "missing"],
     )
