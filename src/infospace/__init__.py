@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "closed_forms": ("bell_formation_points", "bell_mixture_ec", "binary_entropy"),
-    "cli": ("FamilySpec",),
+    "cli": (),
     "curves": (
         "ChiSlope",
         "ComplementarityCheck",

@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 input or domain error, 2 numerical failure.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .closed_forms import bell_formation_points
 from .curves import (
@@ -44,68 +43,39 @@ def _parse_floats(text: str) -> list[float]:
         raise ValueError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
-FAMILY_NAMES = ("bell-mixture", "pure-schmidt", "classical", "raw")
+# each family's parameter flag; --state also selects raw when no --family is given
+_FAMILY_FLAGS = {
+    "bell-mixture": "--p",
+    "pure-schmidt": "--coeffs",
+    "classical": "--probs",
+    "raw": "--state FILE",
+}
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Resolved family selection: one kind plus its parameters."""
-
-    kind: str
-    p: float | None = None
-    coeffs: tuple[float, ...] | None = None
-    probs: tuple[float, ...] | None = None
-    path: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in FAMILY_NAMES:
-            raise ValueError(f"unknown family {self.kind!r}; choose one of {FAMILY_NAMES}")
-        needed = {
-            "bell-mixture": self.p is not None,
-            "pure-schmidt": self.coeffs is not None,
-            "classical": self.probs is not None,
-            "raw": self.path is not None,
-        }
-        if not needed[self.kind]:
-            raise ValueError(f"family {self.kind!r} is missing its parameter")
+def _family_input(args) -> tuple[str, object]:
+    """The selected family and its value: --p, the parsed --coeffs/--probs, or the --state path."""
+    if args.family is None and args.state is None:
+        raise ValueError("select an input with --family or --state")
+    family = args.family or "raw"
+    flag = _FAMILY_FLAGS[family]
+    value = getattr(args, flag.split()[0].removeprefix("--"))
+    if value is None:
+        raise ValueError(f"family {family} needs {flag}")
+    return family, _parse_floats(value) if family in ("pure-schmidt", "classical") else value
 
 
-def _family_spec(args) -> FamilySpec:
-    family = getattr(args, "family", None)
-    state = getattr(args, "state", None)
-    if family is None:
-        if state is None:
-            raise ValueError("select an input with --family or --state")
-        family = "raw"
-    if family == "bell-mixture":
-        if args.p is None:
-            raise ValueError("family bell-mixture needs --p")
-        return FamilySpec(kind=family, p=args.p)
-    if family == "pure-schmidt":
-        if args.coeffs is None:
-            raise ValueError("family pure-schmidt needs --coeffs")
-        return FamilySpec(kind=family, coeffs=tuple(_parse_floats(args.coeffs)))
-    if family == "classical":
-        if args.probs is None:
-            raise ValueError("family classical needs --probs")
-        return FamilySpec(kind=family, probs=tuple(_parse_floats(args.probs)))
-    if state is None:
-        raise ValueError("family raw needs --state FILE")
-    return FamilySpec(kind="raw", path=state)
-
-
-def _resolve_state(spec: FamilySpec):
+def _resolve_state(family: str, value):
     """The family's density operator."""
     from .families import bell_mixture, classically_correlated, pure_schmidt
     from .serialize import load_state
 
-    if spec.kind == "bell-mixture":
-        return bell_mixture(spec.p)
-    if spec.kind == "pure-schmidt":
-        return pure_schmidt(spec.coeffs).projector()
-    if spec.kind == "classical":
-        return classically_correlated(spec.probs)
-    return load_state(spec.path)
+    if family == "bell-mixture":
+        return bell_mixture(value)
+    if family == "pure-schmidt":
+        return pure_schmidt(value).projector()
+    if family == "classical":
+        return classically_correlated(value)
+    return load_state(value)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -126,7 +96,7 @@ def cmd_entropy(args) -> int:
         with open(args.ensemble, "r", encoding="utf-8") as fh:
             rho = ensemble_average(ensemble_from_dict(json.load(fh)))
     else:
-        rho = _resolve_state(_family_spec(args))
+        rho = _resolve_state(*_family_input(args))
     report = measure_report(rho)
     payload = {
         "n": report.n,
@@ -146,20 +116,20 @@ def cmd_entropy(args) -> int:
 
 
 def _curve_data(
-    spec: FamilySpec, include_extraction: bool
+    family: str, value, include_extraction: bool
 ) -> tuple[list[ProtocolPoint], list[tuple[str, InformationCurve]]]:
     points: list[ProtocolPoint] = []
     envelopes: list[tuple[str, InformationCurve]] = []
-    if spec.kind == "bell-mixture":
-        pts = bell_formation_points(spec.p)
+    if family == "bell-mixture":
+        pts = bell_formation_points(value)
         points += pts
         envelopes.append(("formation-envelope", build_lower_envelope(pts)))
         # no computable extraction rule for this mixed family
-    elif spec.kind == "pure-schmidt":
+    elif family == "pure-schmidt":
         from .families import pure_schmidt
         from .measures import pure_state_entanglement
 
-        psi = pure_schmidt(spec.coeffs)
+        psi = pure_schmidt(value)
         n = psi.projector().n_qubits
         e = pure_state_entanglement(psi)
         endpoints = formation_endpoints(float(n), 0.0, e, e)
@@ -169,11 +139,11 @@ def _curve_data(
             line = pure_extraction_line(float(n), e)
             points += line.points
             envelopes.append(("extraction-envelope", line))
-    elif spec.kind == "classical":
+    elif family == "classical":
         from .families import classically_correlated
         from .measures import information_content
 
-        rho = classically_correlated(spec.probs)
+        rho = classically_correlated(value)
         info = information_content(rho)
         endpoints = formation_endpoints(info, 0.0, 0.0, 0.0)
         points += endpoints
@@ -216,8 +186,8 @@ def _curve_svg(points, envelopes, paper_axes: bool, title: str) -> str:
 
 
 def cmd_curve(args) -> int:
-    spec = _family_spec(args)
-    points, envelopes = _curve_data(spec, args.include_extraction)
+    family, value = _family_input(args)
+    points, envelopes = _curve_data(family, value, args.include_extraction)
     if args.format == "json":
         payload = {
             "points": [
@@ -233,7 +203,7 @@ def cmd_curve(args) -> int:
     else:
         _emit(points_csv(points, envelopes), args.out)
     if args.svg:
-        title = f"information-space curves ({spec.kind})"
+        title = f"information-space curves ({family})"
         _emit(_curve_svg(points, envelopes, args.paper_axes, title), args.svg)
     return EXIT_OK
 
@@ -263,7 +233,7 @@ def cmd_classify(args) -> int:
     from .families import classify
     from .serialize import dump_state
 
-    rho = _resolve_state(_family_spec(args))
+    rho = _resolve_state(*_family_input(args))
     result = classify(rho)
     payload = {
         "category": result.category.value,
@@ -280,7 +250,7 @@ def cmd_classify(args) -> int:
 
 
 def _add_input_options(sub, ensemble: bool = False) -> None:
-    sub.add_argument("--family", choices=FAMILY_NAMES)
+    sub.add_argument("--family", choices=_FAMILY_FLAGS)
     sub.add_argument("--p", type=float, help="bell-mixture parameter in [0, 1/2]")
     sub.add_argument("--coeffs", help="comma-separated Schmidt coefficients")
     sub.add_argument("--probs", help="comma-separated probabilities")

@@ -77,9 +77,6 @@ class InformationCurve:
     points: tuple[ProtocolPoint, ...]
     envelope: tuple[tuple[float, float], ...]
 
-    def domain(self) -> tuple[float, float]:
-        return self.envelope[0][0], self.envelope[-1][0]
-
 
 def formation_endpoints(
     info: float, surplus: float, ec: float, er: float
@@ -253,11 +250,10 @@ def pure_extraction_line(n: float, e: float) -> InformationCurve:
 
 @dataclass(frozen=True)
 class ComplementarityCheck:
-    """Outcome of the one-bit-per-singlet extraction bound."""
+    """Verdict on the one-bit-per-singlet bound; margin = i_l(0) - (i_l(q) + q), < 0 if violated."""
 
     satisfied: bool
-    slack: float
-    excess: float
+    margin: float
 
 
 def complementarity_check(i_l_at_q: float, q: float, i_l_zero: float) -> ComplementarityCheck:
@@ -268,10 +264,8 @@ def complementarity_check(i_l_at_q: float, q: float, i_l_zero: float) -> Complem
     """
     if q < 0.0:
         raise ValueError("the extraction bound applies only to q >= 0")
-    raw = i_l_zero - (i_l_at_q + q)
-    return ComplementarityCheck(
-        satisfied=raw >= -1e-9, slack=max(raw, 0.0), excess=max(-raw, 0.0)
-    )
+    margin = i_l_zero - (i_l_at_q + q)
+    return ComplementarityCheck(satisfied=margin >= -1e-9, margin=margin)
 
 
 class ScanSample(NamedTuple):
@@ -290,7 +284,6 @@ class PhaseScanResult:
 
     samples: tuple[ScanSample, ...]
     divergence_flag: bool
-    threshold: float
 
 
 def phase_scan(
@@ -336,9 +329,8 @@ def phase_scan(
         else:
             q_at = float(probe)
             curve = InformationCurve(CurveKind.FORMATION, tuple(ordered), tuple(env))
-            lo, _ = curve.domain()
             # chi reads side only on a vertex; the first vertex has only a right segment
-            side = "right" if abs(q_at - lo) <= _VERTEX_SNAP else "left"
+            side = "right" if abs(q_at - env[0][0]) <= _VERTEX_SNAP else "left"
             slope = chi(curve, q_at, side=side).slope
         samples.append(ScanSample(p, q_at, slope, _chi_of_slope(slope)))
     live = [abs(s.slope) for s in samples if not s.degenerate]
@@ -348,6 +340,4 @@ def phase_scan(
         if len(tail) < 2:
             tail = live[-2:]
         flag = all(b > a for a, b in zip(tail, tail[1:]))
-    return PhaseScanResult(
-        samples=tuple(samples), divergence_flag=flag, threshold=float(divergence_threshold)
-    )
+    return PhaseScanResult(samples=tuple(samples), divergence_flag=flag)

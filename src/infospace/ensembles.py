@@ -12,12 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import PointKind, ProtocolPoint
-# the product-eigenbasis decision lives beside classify; its names stay importable from here
-from .families import ProductBasis, ProductBasisResult, product_eigenbasis_check  # noqa: F401
+from .families import ProductBasis, product_eigenbasis_check
 from .linalg import (
     DensityOperator,
     PureState,
     _document_dims,
+    _document_numbers,
     _require_dim,
     partial_trace,
     support_projector,
@@ -292,6 +292,7 @@ def ensemble_from_dict(d: dict, tol: Tolerances = DEFAULT) -> Ensemble:
         kind = entry["type"]
         if kind not in ("pure", "mixed"):
             raise ValueError(f"component type must be 'pure' or 'mixed', got {kind!r}")
+        _document_numbers([entry["weight"], entry["data"]], "ensemble")
         try:
             weight = float(entry["weight"])
             if kind == "pure":

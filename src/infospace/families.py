@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_forms import bell_formation_points  # noqa: F401 (re-exported)
-from .linalg import DensityOperator, PureState, schmidt_coefficients, validate_density
+from .linalg import DensityOperator, PureState, _require_dim, schmidt_coefficients, validate_density
 from .tolerances import DEFAULT, Tolerances
 
 _INPUT_DRIFT = 1e-6  # user-typed coefficients get renormalized up to this drift
@@ -30,9 +29,11 @@ def bell_mixture(p: float, tol: Tolerances = DEFAULT) -> DensityOperator:
 
 
 def _embedding_dim(k: int) -> int:
+    """Power-of-two local dimension for k labels; refused above the cap before any allocation."""
     d = 2
     while d < k:
         d *= 2
+    _require_dim(d * d, DEFAULT)
     return d
 
 

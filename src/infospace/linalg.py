@@ -8,6 +8,7 @@ decomposes its matrix, and the B-side partial transpose of it, at most once,
 on first use, and keeps the read-only results.
 """
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -92,6 +93,22 @@ def _document_dims(doc, what: str) -> tuple[int, int]:
             f"malformed {what} document: dims must be two positive integers, got {dims!r}"
         )
     return dims[0], dims[1]
+
+
+def _document_numbers(values, what: str) -> None:
+    """Refuse nested lists from a state or ensemble file unless every entry is a finite number.
+
+    The float and complex casts that read the files would take "0.5", true and
+    NaN, and ``np.asarray(..., dtype=float)`` hides a false among floats.
+    """
+    pending = [values]
+    while pending:
+        x = pending.pop()
+        if isinstance(x, list):
+            pending.extend(reversed(x))
+        # type() refuses bools; the comparison is false for NaN, the infinities and huge ints
+        elif type(x) not in (int, float) or not abs(x) <= sys.float_info.max:
+            raise ValueError(f"malformed {what} document: expected a finite number, got {x!r}")
 
 
 def _require_hermitian(residual: float, tol: Tolerances) -> None:

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_forms import bell_mixture_ec, binary_entropy  # noqa: F401 (re-exported)
+from .closed_forms import binary_entropy
 from .linalg import (
     DensityOperator,
     PureState,

@@ -1,7 +1,8 @@
-"""Flat-file formats: state and ensemble JSON, CSV schemas, float rendering.
+"""Flat-file formats: the state JSON, CSV schemas, float rendering.
 
-The text formatters need only the standard library; the state-file readers
-import numpy and ``linalg`` when first called.
+The ensemble JSON is read and written in ``ensembles``. The text formatters
+need only the standard library; the state-file readers import numpy and
+``linalg`` when first called.
 """
 
 from __future__ import annotations
@@ -45,14 +46,15 @@ def state_from_dict(d: dict, tol: Tolerances = DEFAULT) -> DensityOperator:
     """Parse and fully validate a state-file document."""
     import numpy as np
 
-    from .linalg import _document_dims, validate_density
+    from .linalg import _document_dims, _document_numbers, validate_density
 
     dim_a, dim_b = _document_dims(d, "state")
     try:
         re = np.asarray(d["matrix_re"], dtype=float)
         im = np.asarray(d["matrix_im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed state document: {exc}") from exc
+    _document_numbers([d["matrix_re"], d["matrix_im"]], "state")
     if re.shape != im.shape:
         raise ValueError(f"matrix_re shape {re.shape} differs from matrix_im shape {im.shape}")
     return validate_density(re + 1j * im, dim_a, dim_b, tol)

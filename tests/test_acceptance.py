@@ -120,7 +120,7 @@ def test_criterion_5_pure_state_lines():
                 assert abs(chi(line, q).slope + 1.0) <= 1e-9
                 check = complementarity_check(curve_value(line, q), q, curve_value(line, 0.0))
                 assert check.satisfied
-                assert check.slack <= 1e-9 and check.excess <= 1e-9
+                assert abs(check.margin) <= 1e-9
 
 
 def _certified_ensembles():

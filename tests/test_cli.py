@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -362,6 +363,141 @@ class TestDocumentDims:
     def test_integer_dims_still_load(self, capsys, tmp_path, kind):
         code, out, _ = run([*self.COMMANDS[kind], _file_with_dims(kind, [2, 2], tmp_path)], capsys)
         assert code == 0 and out
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+_PURE_COMPONENT = {"weight": 1, "type": "pure", "data": [[1, 0], [0, 0], [0, 0], [0, 0]]}
+
+
+def _edited(kind, key, index, value):
+    """A valid state or ensemble document with one entry replaced by ``value``."""
+    if kind == "state":
+        doc = state_to_dict(bell_mixture(0.25))
+        doc[key][index[0]][index[1]] = value
+        return doc
+    component = json.loads(json.dumps(_PURE_COMPONENT))
+    if key == "weight":
+        component["weight"] = value
+    else:
+        component["data"][index[0]][index[1]] = value
+    return {"dims": [2, 2], "components": [component]}
+
+
+class TestDocumentNumbers:
+    COMMANDS = TestDocumentDims.COMMANDS
+
+    @pytest.mark.parametrize(
+        "kind, key, index, value",
+        [
+            ("state", "matrix_re", (0, 0), "0.5"),
+            ("state", "matrix_re", (1, 1), True),
+            ("state", "matrix_im", (0, 3), False),  # a cast to float reads it as 0.0
+            ("state", "matrix_re", (2, 2), None),
+            ("state", "matrix_im", (1, 2), float("nan")),
+            ("ensemble", "weight", None, "1"),
+            ("ensemble", "weight", None, True),
+            ("ensemble", "data", (0, 0), True),
+            ("ensemble", "data", (1, 1), False),
+            ("ensemble", "data", (2, 0), float("inf")),
+        ],
+        ids=[
+            "re-string", "re-true", "im-false", "re-null", "im-nan",
+            "weight-string", "weight-true", "re-true-pair", "im-false-pair", "re-inf-pair",
+        ],
+    )
+    def test_non_numbers_exit_one(self, capsys, tmp_path, kind, key, index, value):
+        path = _write(tmp_path, f"{kind}.json", _edited(kind, key, index, value))
+        code, out, err = run([*self.COMMANDS[kind], path], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"malformed {kind} document: expected a finite number, got ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind, key", [("state", "matrix_re"), ("ensemble", "data")])
+    def test_int_beyond_the_float_range_exits_one(self, capsys, tmp_path, kind, key):
+        path = _write(tmp_path, f"{kind}.json", _edited(kind, key, (3, 1), 10**400))
+        code, out, err = run([*self.COMMANDS[kind], path], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"malformed {kind} document: ") and err.count("\n") == 1
+
+    def test_integer_entries_still_load(self, capsys, tmp_path):
+        zeros = [[0] * 4 for _ in range(4)]
+        state = {"dims": [2, 2], "matrix_re": [[1, 0, 0, 0]] + zeros[1:], "matrix_im": zeros}
+        code, out, _ = run(["classify", "--state", _write(tmp_path, "s.json", state)], capsys)
+        assert code == 0 and json.loads(out)["category"] == "PureProduct"
+        ensemble = {"dims": [2, 2], "components": [_PURE_COMPONENT]}
+        code, out, _ = run(["entropy", "--ensemble", _write(tmp_path, "e.json", ensemble)], capsys)
+        assert code == 0 and json.loads(out)["s_total"] == 0
+
+
+class TestFamilySelection:
+    @pytest.mark.parametrize("command", ["entropy", "curve", "classify"])
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ([], "select an input with --family or --state"),
+            (["--family", "bell-mixture"], "family bell-mixture needs --p"),
+            (["--family", "pure-schmidt"], "family pure-schmidt needs --coeffs"),
+            (["--family", "classical"], "family classical needs --probs"),
+            (["--family", "raw"], "family raw needs --state FILE"),
+        ],
+        ids=["none", "bell-mixture", "pure-schmidt", "classical", "raw"],
+    )
+    def test_missing_parameter_exits_one(self, capsys, command, args, message):
+        assert run([command, *args], capsys) == (1, "", message + "\n")
+
+    @pytest.mark.parametrize("command", ["entropy", "curve", "classify"])
+    def test_unknown_family_exits_one(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--family", "ghz", "--p", "0.25"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 1 and out == ""
+        # how argparse quotes the list of choices after this prefix varies by version
+        prefix = f"infospace {command}: error: argument --family: invalid choice: 'ghz'"
+        assert err.startswith(prefix) and err.count("\n") == 1
+
+
+def _repeat(x, n):
+    return ",".join([repr(x)] * n)
+
+
+class TestDimensionCap:
+    # nine labels embed in 16 (x) 16, dimension 256, above Tolerances.max_dim = 64
+    CAP = "dimension 256 exceeds the configured cap of 64\n"
+
+    @pytest.mark.parametrize("command", ["entropy", "curve", "classify"])
+    def test_nine_coefficients_exit_one(self, capsys, command):
+        args = [command, "--family", "pure-schmidt", "--coeffs", _repeat(1 / 3, 9)]
+        assert run(args, capsys) == (1, "", self.CAP)
+
+    @pytest.mark.parametrize("command", ["entropy", "curve", "classify"])
+    def test_nine_probabilities_refused_before_allocating(self, capsys, command):
+        args = [command, "--family", "classical", "--probs", _repeat(1 / 9, 9)]
+        run(args, capsys)  # imports and first-call caches stay out of the traced run
+        tracemalloc.start()
+        try:
+            result = run(args, capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (1, "", self.CAP)
+        # a 256 x 256 complex matrix alone is 1 MiB
+        assert peak < 200_000
+
+    @pytest.mark.parametrize(
+        "family, flag, values",
+        [
+            ("pure-schmidt", "--coeffs", _repeat(8**-0.5, 8)),
+            ("classical", "--probs", _repeat(1 / 8, 8)),
+        ],
+    )
+    def test_eight_labels_still_accepted(self, capsys, family, flag, values):
+        code, out, _ = run(["entropy", "--family", family, flag, values], capsys)
+        assert code == 0 and json.loads(out)["n"] == 6
 
 
 class TestCliContract:

@@ -231,7 +231,7 @@ class TestPureExtractionLine:
             line = pure_extraction_line(n, e)
             for q in np.linspace(0.0, e, 12)[1:-1]:
                 check = complementarity_check(curve_value(line, q), q, curve_value(line, 0.0))
-                assert check.satisfied and check.slack <= 1e-9 and check.excess <= 1e-9
+                assert check.satisfied and abs(check.margin) <= 1e-9
 
 
 class TestComplementarity:
@@ -239,15 +239,15 @@ class TestComplementarity:
         line = pure_extraction_line(2.0, 1.0)
         result = complementarity_check(curve_value(line, 0.5), 0.5, curve_value(line, 0.0))
         assert result.satisfied
-        assert result.slack <= 1e-9 and result.excess <= 1e-9
+        assert abs(result.margin) <= 1e-9
 
     def test_satisfied_with_slack(self):
         result = complementarity_check(0.2, 0.5, 1.0)
-        assert result.satisfied and result.slack == pytest.approx(0.3, abs=1e-12)
+        assert result.satisfied and result.margin == pytest.approx(0.3, abs=1e-12)
 
     def test_violated_with_excess(self):
         result = complementarity_check(0.8, 0.5, 1.0)
-        assert not result.satisfied and result.excess == pytest.approx(0.3, abs=1e-12)
+        assert not result.satisfied and result.margin == pytest.approx(-0.3, abs=1e-12)
 
     def test_negative_q_rejected(self):
         with pytest.raises(ValueError, match="q >= 0"):

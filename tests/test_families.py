@@ -5,7 +5,6 @@ from infospace import (
     DEFAULT,
     DegenerateFamilyError,
     DensityOperator,
-    FamilySpec,
     PointKind,
     ProductBasis,
     PureState,
@@ -199,17 +198,3 @@ class TestClassify:
             assert product is (c2 <= DEFAULT.schmidt)
             expected = StateCategory.PURE_PRODUCT if product else StateCategory.PURE_ENTANGLED
             assert classify(rho).category is expected
-
-
-class TestFamilySpec:
-    def test_unknown_family(self):
-        with pytest.raises(ValueError, match="unknown family"):
-            FamilySpec(kind="ghz")
-
-    def test_missing_parameter(self):
-        with pytest.raises(ValueError, match="missing"):
-            FamilySpec(kind="bell-mixture")
-
-    def test_valid(self):
-        spec = FamilySpec(kind="classical", probs=(0.5, 0.5))
-        assert spec.kind == "classical"

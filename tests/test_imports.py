@@ -10,11 +10,11 @@ import pytest
 
 import infospace
 
-# the public namespace of `import infospace` before it became lazy
+# the public namespace of `import infospace` before it became lazy, less the deleted FamilySpec
 PUBLIC_NAMES = (
     "AssumedExactValues", "ChiSlope", "Classification", "ComplementarityCheck", "ComponentCost",
     "ComponentCostUnknown", "CurveKind", "DEFAULT", "DegenerateFamilyError", "DensityOperator",
-    "EigenConvergenceError", "Ensemble", "FamilySpec", "InformationCurve", "LocalOrthogonality",
+    "EigenConvergenceError", "Ensemble", "InformationCurve", "LocalOrthogonality",
     "MeasureReport", "NotApplicable", "NotCertifiedOrthogonal", "NotHermitian", "NotPositive",
     "PhaseScanResult", "PointKind", "ProductBasis", "ProductBasisResult", "ProtocolPoint",
     "PureState", "ScanSample", "StateCategory", "Tolerances", "TraceNotOne", "ValidationError",
@@ -148,16 +148,16 @@ class TestLazyNamespace:
         assert home.startswith("infospace.")
         assert getattr(sys.modules[home], name) is obj
 
-    def test_moved_names_keep_their_old_module_paths(self):
-        measures = importlib.import_module("infospace.measures")
-        families = importlib.import_module("infospace.families")
-        assert measures.binary_entropy is infospace.binary_entropy
-        assert measures.bell_mixture_ec is infospace.bell_mixture_ec
-        assert families.bell_formation_points is infospace.bell_formation_points
-        ensembles = importlib.import_module("infospace.ensembles")
-        for name in ("product_eigenbasis_check", "ProductBasis", "ProductBasisResult"):
-            assert getattr(ensembles, name) is getattr(infospace, name)
-            assert getattr(infospace, name).__module__ == "infospace.families"
+    def test_old_module_paths_are_gone(self):
+        # the compatibility aliases are deleted: these resolve from the package and their home
+        for module, name in (
+            ("measures", "bell_mixture_ec"),
+            ("families", "bell_formation_points"),
+            ("ensembles", "ProductBasisResult"),
+        ):
+            assert not hasattr(importlib.import_module(f"infospace.{module}"), name)
+        assert not hasattr(infospace, "FamilySpec")
+        assert infospace.cli is sys.modules["infospace.cli"] and "cli" in infospace.__all__
 
     def test_star_import_binds_exactly_all(self):
         namespace = {}
