@@ -7,7 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityOperator, PureState, _require_dim, schmidt_coefficients, validate_density
+from .linalg import (
+    DensityOperator,
+    PureState,
+    _read_only,
+    _require_dim,
+    schmidt_coefficients,
+    validate_density,
+)
 from .tolerances import DEFAULT, Tolerances
 
 _INPUT_DRIFT = 1e-6  # user-typed coefficients get renormalized up to this drift
@@ -43,7 +50,8 @@ def _clean_weights(values, what: str) -> np.ndarray:
         raise ValueError(f"{what} vector is empty")
     if w.min() < 0.0:
         raise ValueError(f"{what} entries must be nonnegative, got {w.min()}")
-    drift = abs(float(w.sum()) - 1.0)
+    with np.errstate(over="ignore"):  # 1e308 + 1e308 sums to inf, which the drift check refuses
+        drift = abs(float(w.sum()) - 1.0)
     if drift > _INPUT_DRIFT:
         raise ValueError(f"{what} must sum to 1, drift {drift:.3g}")
     return w / w.sum()
@@ -54,7 +62,9 @@ def pure_schmidt(coeffs) -> PureState:
     c = np.asarray(coeffs, dtype=float).reshape(-1)
     if c.size and c.min() < 0.0:
         raise ValueError(f"Schmidt coefficients must be nonnegative, got {c.min()}")
-    c = np.sqrt(_clean_weights(c**2, "squared Schmidt coefficients"))
+    with np.errstate(over="ignore"):  # 1e200**2 is inf, which the drift check refuses
+        squares = c**2
+    c = np.sqrt(_clean_weights(squares, "squared Schmidt coefficients"))
     # absorb the square-root roundoff into the largest coefficient so the
     # squared coefficients sum to 1 exactly where representable
     k = int(np.argmax(c))
@@ -164,8 +174,19 @@ def product_eigenbasis_check(rho: DensityOperator, tol: Tolerances = DEFAULT) ->
     its vector, a 2-dim one by the roots of a binary quadratic (see
     ``_product_pair``), a 3-dim one by its 1-dim complement, and the 4-dim
     space always has the computational basis. The verdict is PRODUCT, with
-    the basis, or NO.
+    the basis (read-only factors), or NO.
+
+    The result is stored on ``rho`` under ``tol``'s value, so ``classify``,
+    ``assumed_exact_values`` and repeated calls share one decision; any other
+    tolerances decide afresh, with every check, and an error stores nothing.
     """
+    stored = rho._product_verdicts.get(tol)
+    if stored is None:
+        stored = rho._product_verdicts[tol] = _decide_product_basis(rho, tol)
+    return stored
+
+
+def _decide_product_basis(rho: DensityOperator, tol: Tolerances) -> ProductBasisResult:
     if (rho.dim_a, rho.dim_b) != (2, 2):
         raise ValueError(f"product-eigenbasis check needs a two-qubit state, got dims "
                          f"({rho.dim_a}, {rho.dim_b})")
@@ -197,7 +218,11 @@ def product_eigenbasis_check(rho: DensityOperator, tol: Tolerances = DEFAULT) ->
         elif len(group) == 4:
             e = np.eye(2, dtype=complex)
             basis.extend((mean_val, e[i], e[j]) for i in range(2) for j in range(2))
-    return ProductBasisResult(ProductBasis.PRODUCT, tuple(basis))
+    return ProductBasisResult(
+        ProductBasis.PRODUCT,
+        # copies: a stored factor must not keep its SVD's or np.eye's whole matrix alive
+        tuple((val, _read_only(a.copy()), _read_only(b.copy())) for val, a, b in basis),
+    )
 
 
 def _correlated_labels(basis, tol: Tolerances) -> bool:

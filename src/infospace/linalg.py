@@ -5,12 +5,14 @@ no tolerances: it records the Hermiticity residual of its input and the
 eigenpair residual of its result, and every caller's ``tol`` is checked
 against those on every call. A :class:`DensityOperator` is immutable, so it
 decomposes its matrix, and the B-side partial transpose of it, at most once,
-on first use, and keeps the read-only results.
+on first use, and keeps the read-only results. It also keeps its two reduced
+states, which store and certify their own decompositions the same way, and
+the product-eigenbasis verdict of :func:`infospace.families.product_eigenbasis_check`,
+one per tolerance value.
 """
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -131,6 +133,25 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class _stored:
+    """Compute an attribute on first read and keep it in the instance dict.
+
+    ``functools.cached_property`` without the class-wide lock it takes on every
+    first read before Python 3.12: most operators are read once, and racing
+    threads would only compute the same immutable value twice.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Bipartite density matrix plus its subsystem dimensions.
@@ -140,6 +161,10 @@ class DensityOperator:
     Equality and hashing go by identity. The eigendecompositions of the matrix
     and of its B-side partial transpose are computed at most once each, on
     first use, and certified against the caller's tolerances on every call.
+    The two reduced states are built at most once each and are operators of
+    their own, so their decompositions are stored and certified alike. The
+    product-eigenbasis verdict is stored per tolerance value: a call with any
+    other ``tol`` decides afresh, and a call that raises stores nothing.
     """
 
     matrix: np.ndarray
@@ -172,19 +197,34 @@ class DensityOperator:
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 
-    @cached_property
+    @_stored
     def _hermiticity(self) -> float:
         return _hermiticity_residual(self.matrix)
 
-    @cached_property
+    @_stored
     def _decomposition(self):
         w, v, residual = _decompose(self.matrix)
         return _read_only(w), _read_only(v), residual
 
-    @cached_property
+    @_stored
     def _pt_decomposition(self):
         w, _, residual = _decompose(partial_transpose(self, "B"))
         return _read_only(w), None, residual
+
+    @_stored
+    def _reduced_a(self) -> "DensityOperator":
+        r = self.matrix.reshape(self.dim_a, self.dim_b, self.dim_a, self.dim_b)
+        return DensityOperator(np.einsum("ijkj->ik", r), self.dim_a, 1)
+
+    @_stored
+    def _reduced_b(self) -> "DensityOperator":
+        r = self.matrix.reshape(self.dim_a, self.dim_b, self.dim_a, self.dim_b)
+        return DensityOperator(np.einsum("ijil->jl", r), 1, self.dim_b)
+
+    @_stored
+    def _product_verdicts(self) -> dict:
+        """``families.product_eigenbasis_check`` results, keyed by the ``Tolerances`` value."""
+        return {}
 
     def eigensystem(self, tol: Tolerances = DEFAULT) -> tuple[np.ndarray, np.ndarray]:
         """Certified eigenvalues (ascending) and eigenvector columns, read-only.
@@ -241,13 +281,12 @@ def tensor_product(a, b) -> np.ndarray:
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
-    """Reduced state of the kept subsystem, ``keep`` in {'A', 'B'}."""
-    r = rho.matrix.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
+    """Reduced state of the kept subsystem, ``keep`` in {'A', 'B'}; ``rho`` keeps it."""
     side = str(keep).upper()
     if side == "A":
-        return DensityOperator(np.einsum("ijkj->ik", r), rho.dim_a, 1)
+        return rho._reduced_a
     if side == "B":
-        return DensityOperator(np.einsum("ijil->jl", r), 1, rho.dim_b)
+        return rho._reduced_b
     raise ValueError(f"subsystem selector must be 'A' or 'B', got {keep!r}")
 
 

@@ -51,17 +51,26 @@ def global_aabb(rng, a):
     return rotated_spectrum(random_unitary(rng, 4), [a, a, 0.5 - a, 0.5 - a])
 
 
-def record_eigh(monkeypatch):
-    """Wrap ``np.linalg.eigh``; returns the list of input shapes, one per call."""
+def _record(monkeypatch, name):
     shapes = []
-    eigh = np.linalg.eigh
+    original = getattr(np.linalg, name)
 
     def recorded(a, *args, **kwargs):
         shapes.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
+        return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    monkeypatch.setattr(np.linalg, name, recorded)
     return shapes
+
+
+def record_eigh(monkeypatch):
+    """Wrap ``np.linalg.eigh``; returns the list of input shapes, one per call."""
+    return _record(monkeypatch, "eigh")
+
+
+def record_svd(monkeypatch):
+    """Wrap ``np.linalg.svd``; returns the list of input shapes, one per call."""
+    return _record(monkeypatch, "svd")
 
 
 def split_decomposition(p):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -115,6 +116,18 @@ class TestEntropy:
         assert code == 1 and out == ""
         assert err.startswith("malformed ensemble document: component 0")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "family, flag, values",
+        [("pure-schmidt", "--coeffs", "1e200,1"), ("classical", "--probs", "1e308,1e308")],
+    )
+    def test_huge_entries_exit_one_without_a_warning(self, capsys, family, flag, values):
+        # squaring 1e200 or summing 1e308 + 1e308 would overflow and warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["entropy", "--family", family, flag, values], capsys)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "must sum to 1, drift inf" in err
 
     def test_missing_input(self, capsys):
         code, _, err = run(["entropy"], capsys)

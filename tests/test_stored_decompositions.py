@@ -1,4 +1,5 @@
-"""Each DensityOperator decomposes itself at most once, and never weakens a check."""
+"""Each DensityOperator decomposes itself, builds its reduced states and decides its
+product-eigenbasis verdict at most once, and never weakens a check."""
 
 import dataclasses
 import functools
@@ -11,7 +12,9 @@ from infospace import (
     DensityOperator,
     EigenConvergenceError,
     Ensemble,
+    NotApplicable,
     NotHermitian,
+    ProductBasis,
     PureState,
     assumed_exact_values,
     bell_mixture,
@@ -22,6 +25,7 @@ from infospace import (
     formation_point,
     formation_surplus_bound,
     hermitian_eigensystem,
+    local_entropies,
     measure_report,
     partial_trace,
     partial_transpose,
@@ -34,13 +38,18 @@ from infospace import (
 from infospace.cli import main
 from infospace.ensembles import _component_cost
 from helpers import (
+    BELL_MINUS,
     BELL_PLUS,
     KET_00,
     KET_11,
     global_aabb,
     random_density_matrix,
+    random_local_unitary,
     random_state_vector,
+    random_unitary,
     record_eigh,
+    record_svd,
+    rotated_spectrum,
     split_decomposition,
 )
 
@@ -56,12 +65,62 @@ def _two_qubit_states():
 
 
 def _readers(rho):
-    """Every public reader of the stored decompositions, as functions of ``tol``."""
-    readers = [rho.eigensystem, rho.partial_transpose_spectrum]
-    fns = [von_neumann_entropy, measure_report, classify, support_projector]
+    """Every public reader of the stored results, as functions of ``tol``."""
+    # side B: the Hermiticity test's perturbation shows in that reduced state only
+    readers = [
+        rho.eigensystem,
+        rho.partial_transpose_spectrum,
+        lambda tol: partial_trace(rho, "B").eigensystem(tol),
+    ]
+    fns = [von_neumann_entropy, measure_report, classify, support_projector, local_entropies]
     if (rho.dim_a, rho.dim_b) == (2, 2):
-        fns += [concurrence_2q, eof_2q, product_eigenbasis_check]
+        fns += [concurrence_2q, eof_2q, product_eigenbasis_check, assumed_exact_values]
     return readers + [functools.partial(f, rho) for f in fns]
+
+
+def _locally_rotated_states():
+    """Two-qubit states of known verdict, each under its own random local unitary."""
+    rng = np.random.default_rng(43)
+    psi_plus = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
+    psi_minus = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
+    bell = np.column_stack([BELL_PLUS, BELL_MINUS, psi_plus, psi_minus])
+    states = {}
+    for k in range(3):
+        a = float(rng.uniform(0.05, 0.2))
+        aabb = [a, a, 0.5 - a, 0.5 - a]
+        p = rng.dirichlet(np.ones(2))
+        states[f"classical-{k}"] = (
+            rotated_spectrum(random_local_unitary(rng), [p[0], 0.0, 0.0, p[1]]),
+            ProductBasis.PRODUCT,
+        )
+        states[f"product-{k}"] = (
+            rotated_spectrum(random_local_unitary(rng), rng.dirichlet(np.ones(4))),
+            ProductBasis.PRODUCT,
+        )
+        states[f"product-aabb-{k}"] = (
+            rotated_spectrum(random_local_unitary(rng), aabb),
+            ProductBasis.PRODUCT,
+        )
+        states[f"bell-diagonal-{k}"] = (
+            rotated_spectrum(random_local_unitary(rng) @ bell, rng.dirichlet(np.ones(4))),
+            ProductBasis.NO,
+        )
+        u = random_local_unitary(rng) @ random_unitary(rng, 4)
+        states[f"global-aabb-{k}"] = (rotated_spectrum(u, aabb), ProductBasis.NO)
+    return states
+
+
+_LOCALLY_ROTATED = _locally_rotated_states()
+
+
+def _all_readers_pass(rho):
+    """classify, the direct check and the closed form, as the decisions workload runs them."""
+    classify(rho)
+    product_eigenbasis_check(rho)
+    try:
+        assumed_exact_values(rho)
+    except NotApplicable:  # product eigenbasis
+        pass
 
 
 def _certified_pair():
@@ -133,6 +192,22 @@ class TestDecompositionCounts:
         assert (4, 4) not in shapes
         assert cost.s == pytest.approx(von_neumann_entropy(rho), abs=1e-15)
 
+    @pytest.mark.parametrize("name", ["bell-diagonal-0", "product-0", "classical-0"])
+    def test_one_verdict_per_operator(self, monkeypatch, name):
+        m, _ = _LOCALLY_ROTATED[name]
+        shapes = record_svd(monkeypatch)
+        product_eigenbasis_check(validate_density(m, 2, 2))
+        once = len(shapes)
+        _all_readers_pass(validate_density(m, 2, 2))
+        assert once > 0 and len(shapes) == 2 * once
+
+    def test_second_closed_form_pass_decomposes_nothing(self, monkeypatch):
+        rho = bell_mixture(0.25)
+        first = assumed_exact_values(rho)
+        shapes = record_eigh(monkeypatch)
+        assert assumed_exact_values(rho) == first
+        assert shapes == []
+
     @pytest.mark.parametrize("name", sorted(_ENSEMBLE_CALLS))
     def test_ensemble_call_counts(self, monkeypatch, name):
         build, call, count = _ENSEMBLE_CALLS[name]
@@ -193,6 +268,44 @@ class TestChecksStayFull:
             with pytest.raises(ValueError):
                 a[0] = 0.0
         assert np.array_equal(rho.eigensystem()[0], w)
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            classically_correlated([0.3, 0.7]),  # 1-dim and 2-dim eigenspaces
+            PureState(KET_00, 2, 2).projector(),  # a 3-dim kernel
+            validate_density(np.eye(4) / 4, 2, 2),  # one 4-dim eigenspace
+        ],
+        ids=["classical", "pure-product", "maximally-mixed"],
+    )
+    def test_stored_reduced_states_and_factors_are_read_only(self, rho):
+        for side in ("A", "B"):
+            reduced = partial_trace(rho, side)
+            assert partial_trace(rho, side) is reduced
+            with pytest.raises(ValueError):
+                reduced.matrix[0, 0] = 0.0
+        result = product_eigenbasis_check(rho)
+        assert result.status is ProductBasis.PRODUCT and len(result.basis) == 4
+        for _, a, b in result.basis:
+            for factor in (a, b):
+                with pytest.raises(ValueError):
+                    factor[0] = 0.0
+        assert product_eigenbasis_check(rho) is result
+
+    @pytest.mark.parametrize("name", sorted(_LOCALLY_ROTATED))
+    def test_stored_verdict_equals_a_fresh_one(self, name):
+        m, status = _LOCALLY_ROTATED[name]
+        rho = validate_density(m, 2, 2)
+        _all_readers_pass(rho)
+        stored = product_eigenbasis_check(rho)
+        fresh = product_eigenbasis_check(validate_density(m, 2, 2))
+        assert stored.status is fresh.status is status
+        if status is ProductBasis.NO:
+            assert stored.basis is fresh.basis is None
+            return
+        assert len(stored.basis) == len(fresh.basis) == 4
+        for (val, a, b), (val_f, a_f, b_f) in zip(stored.basis, fresh.basis):
+            assert val == val_f and np.array_equal(a, a_f) and np.array_equal(b, b_f)
 
     def test_lapack_failure_is_not_stored(self, monkeypatch, capsys):
         def fail(*args, **kwargs):
