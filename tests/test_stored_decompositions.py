@@ -113,8 +113,8 @@ def _locally_rotated_states():
 _LOCALLY_ROTATED = _locally_rotated_states()
 
 
-def _all_readers_pass(rho):
-    """classify, the direct check and the closed form, as the decisions workload runs them."""
+def _verdict_pass(rho):
+    """classify, the direct check and the closed form on one state."""
     classify(rho)
     product_eigenbasis_check(rho)
     try:
@@ -198,7 +198,7 @@ class TestDecompositionCounts:
         shapes = record_svd(monkeypatch)
         product_eigenbasis_check(validate_density(m, 2, 2))
         once = len(shapes)
-        _all_readers_pass(validate_density(m, 2, 2))
+        _verdict_pass(validate_density(m, 2, 2))
         assert once > 0 and len(shapes) == 2 * once
 
     def test_second_closed_form_pass_decomposes_nothing(self, monkeypatch):
@@ -296,7 +296,7 @@ class TestChecksStayFull:
     def test_stored_verdict_equals_a_fresh_one(self, name):
         m, status = _LOCALLY_ROTATED[name]
         rho = validate_density(m, 2, 2)
-        _all_readers_pass(rho)
+        _verdict_pass(rho)
         stored = product_eigenbasis_check(rho)
         fresh = product_eigenbasis_check(validate_density(m, 2, 2))
         assert stored.status is fresh.status is status
