@@ -6,7 +6,7 @@ phase scan run on the standard library alone.
 
 import math
 
-from .curves import DegenerateFamilyError, PointKind, ProtocolPoint
+from .curves import EC, ER, INTERMEDIATE, DegenerateFamilyError, ProtocolPoint
 
 
 def _entropy_bits(x: float) -> float:
@@ -57,7 +57,7 @@ def bell_formation_points(p: float) -> list[ProtocolPoint]:
         )
     # p is checked once here; the entropy kernels below take it as given
     return [
-        ProtocolPoint(_ec_bits(p), 2.0, PointKind.FORMATION_ENDPOINT_EC, "min-communication"),
-        ProtocolPoint(1.0 - 2.0 * p, 2.0 - 2.0 * p, PointKind.FORMATION_INTERMEDIATE, "split-decomposition"),
-        ProtocolPoint(1.0, 2.0 - _entropy_bits(p), PointKind.FORMATION_ENDPOINT_ER, "reversible"),
+        ProtocolPoint(_ec_bits(p), 2.0, EC, "min-communication"),
+        ProtocolPoint(1.0 - 2.0 * p, 2.0 - 2.0 * p, INTERMEDIATE, "split-decomposition"),
+        ProtocolPoint(1.0, 2.0 - _entropy_bits(p), ER, "reversible"),
     ]

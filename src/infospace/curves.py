@@ -27,13 +27,12 @@ class PointKind(enum.Enum):
     CHORD = "Chord"
 
 
-FORMATION_KINDS = frozenset(
-    {
-        PointKind.FORMATION_ENDPOINT_EC,
-        PointKind.FORMATION_ENDPOINT_ER,
-        PointKind.FORMATION_INTERMEDIATE,
-    }
-)
+# module constants: each PointKind.X read is a class attribute lookup that costs
+# about 0.1 us, several times per phase-scan sample
+EC = PointKind.FORMATION_ENDPOINT_EC
+ER = PointKind.FORMATION_ENDPOINT_ER
+INTERMEDIATE = PointKind.FORMATION_INTERMEDIATE
+FORMATION_KINDS = frozenset({EC, ER, INTERMEDIATE})
 
 _VERTEX_SNAP = 1e-9  # distance below which a probe counts as sitting on a vertex
 
@@ -49,21 +48,31 @@ class DegenerateFamilyError(ValueError):
 
 @dataclass(frozen=True)
 class ProtocolPoint:
-    """One achievable (q, i) resource pair with a role tag."""
+    """One achievable (q, i) resource pair with a role tag.
+
+    The checks run in an explicit ``__init__`` that stores the fields itself
+    (``dataclass`` keeps a class's own ``__init__``), which saves the
+    generated one's separate ``__post_init__`` call; ``dataclasses.replace``
+    goes through it too.
+    """
 
     q: float
     i: float
     kind: PointKind
     label: str = ""
 
-    def __post_init__(self):
-        if not (math.isfinite(self.q) and math.isfinite(self.i)):
-            raise ValueError(f"protocol point coordinates must be finite, got ({self.q}, {self.i})")
+    def __init__(self, q: float, i: float, kind: PointKind, label: str = ""):
+        if not (math.isfinite(q) and math.isfinite(i)):
+            raise ValueError(f"protocol point coordinates must be finite, got ({q}, {i})")
         # the float test first: hashing the enum for the set test runs as Python code
-        if (self.q < -1e-9 or self.i < -1e-9) and self.kind in FORMATION_KINDS:
-            raise ValueError(
-                f"formation points are nonnegative magnitudes, got ({self.q}, {self.i})"
-            )
+        if (q < -1e-9 or i < -1e-9) and kind in FORMATION_KINDS:
+            raise ValueError(f"formation points are nonnegative magnitudes, got ({q}, {i})")
+        # a frozen instance refuses setattr; its dict takes the fields directly
+        fields = self.__dict__
+        fields["q"] = q
+        fields["i"] = i
+        fields["kind"] = kind
+        fields["label"] = label
 
 
 @dataclass(frozen=True)
@@ -90,8 +99,8 @@ def formation_endpoints(
     if ec > er + 1e-12:
         raise ValueError(f"cost ordering violated: ec={ec} exceeds er={er}")
     return (
-        ProtocolPoint(ec, info + surplus, PointKind.FORMATION_ENDPOINT_EC, "min-communication"),
-        ProtocolPoint(er, info, PointKind.FORMATION_ENDPOINT_ER, "reversible"),
+        ProtocolPoint(ec, info + surplus, EC, "min-communication"),
+        ProtocolPoint(er, info, ER, "reversible"),
     )
 
 
@@ -126,7 +135,7 @@ def _formation_hull(
     if len(points) < 2:
         raise ValueError("envelope construction needs at least two protocol points")
     kinds = [p.kind for p in points]
-    if PointKind.FORMATION_ENDPOINT_EC not in kinds or PointKind.FORMATION_ENDPOINT_ER not in kinds:
+    if EC not in kinds or ER not in kinds:
         raise ValueError("formation envelopes need both extreme points present")
     ordered = sorted(points, key=_BY_Q_THEN_I)
     hull: list[tuple[float, float]] = []

@@ -4,6 +4,13 @@ Local orthogonality is certified only through the sufficient condition of
 pairwise-orthogonal local supports; the general operational notion (correlate
 to an ancilla and reset, all by local means) is not decidable here. A positive
 certificate is sound, a negative one is inconclusive.
+
+A decomposition reads what its components store. A pure component's reduced
+states come straight from its amplitudes and keep their decompositions, so no
+component ever becomes a d x d projector. A mixed component's formation cost
+is decided once per ``Tolerances`` value and stored on the component, in the
+table that also holds its product-eigenbasis verdict; a component without a
+cost rule stores nothing. The averaged state is built afresh on every call.
 """
 
 import math
@@ -16,6 +23,7 @@ from .families import ProductBasis, product_eigenbasis_check
 from .linalg import (
     DensityOperator,
     PureState,
+    _decided,
     _document_dims,
     _document_numbers,
     _require_dim,
@@ -48,10 +56,6 @@ class NotCertifiedOrthogonal(ValueError):
 
 class NotApplicable(ValueError):
     """The closed-form values do not apply to this state."""
-
-
-def _as_density(state) -> DensityOperator:
-    return state.projector() if isinstance(state, PureState) else state
 
 
 @dataclass(frozen=True)
@@ -108,7 +112,10 @@ def ensemble_average(e: Ensemble, tol: Tolerances = DEFAULT) -> DensityOperator:
     dim_a, dim_b = e.dims
     total = np.zeros((dim_a * dim_b, dim_a * dim_b), dtype=complex)
     for w, s in e.components:
-        total += w * _as_density(s).matrix
+        if isinstance(s, PureState):
+            total += w * np.outer(s.amplitudes, s.amplitudes.conj())
+        else:
+            total += w * s.matrix
     return validate_density(total, dim_a, dim_b, tol)
 
 
@@ -121,7 +128,7 @@ def local_orthogonality_check(e: Ensemble, tol: Tolerances = DEFAULT) -> LocalOr
     """
     for side in ("A", "B"):
         projectors = [
-            support_projector(partial_trace(_as_density(s), side), tol)
+            support_projector(partial_trace(s, side), tol)
             for _, s in e.components
         ]
         ok = all(
@@ -137,29 +144,47 @@ def local_orthogonality_check(e: Ensemble, tol: Tolerances = DEFAULT) -> LocalOr
 def _component_cost(state, tol: Tolerances) -> ComponentCost:
     """Formation cost of a single component under the computable rules.
 
-    Pure components cost their entanglement. A mixed component whose spectral
-    decomposition is locally orthogonal costs the weighted entanglement of its
-    eigenvectors, and its entropy stays reclaimable. A two-qubit
+    Pure components cost their entanglement. A mixed component's cost is
+    decided by :func:`_mixed_component_cost` once per ``tol`` value and
+    stored on the component.
+    """
+    if isinstance(state, PureState):
+        return ComponentCost(ec=pure_state_entanglement(state, tol), s=0.0, resettable=True)
+    return _decided(state, _mixed_component_cost, tol)
+
+
+def _mixed_component_cost(state: DensityOperator, tol: Tolerances) -> ComponentCost:
+    """Cost of a mixed component; a component that no rule covers raises.
+
+    A mixed component whose spectral decomposition is locally orthogonal
+    costs the weighted entanglement of its eigenvectors, and its entropy stays
+    reclaimable. On two qubits with a product eigenbasis, that basis is the
+    decomposition: eigh's basis inside a degenerate eigenspace is arbitrary,
+    and would make the verdict change under local unitaries. A two-qubit
     Bell-diagonal component falls back to the formation-entanglement oracle,
     but its internal instruction set cannot be reclaimed. Anything else is a
     hard error: no point gets emitted without a protocol behind it.
     """
-    if isinstance(state, PureState):
-        return ComponentCost(ec=pure_state_entanglement(state, tol), s=0.0, resettable=True)
     purity = state.purity()
     if purity >= 1.0 - tol.purity:
         _, v = state.eigensystem(tol)
         psi = PureState(v[:, -1], state.dim_a, state.dim_b)
         return ComponentCost(ec=pure_state_entanglement(psi, tol), s=0.0, resettable=True)
-    w, v = state.eigensystem(tol)
-    keep = w > tol.support_cutoff
-    weights = w[keep] / float(np.sum(w[keep]))
-    vectors = [PureState(v[:, k], state.dim_a, state.dim_b) for k in np.nonzero(keep)[0]]
-    sub = Ensemble(tuple(zip(weights, vectors)))
+    two_qubit = (state.dim_a, state.dim_b) == (2, 2)
+    basis = product_eigenbasis_check(state, tol).basis if two_qubit else None
+    if basis is not None:
+        support = [(val, np.kron(a, b)) for val, a, b in basis if val > tol.support_cutoff]
+    else:
+        w, v = state.eigensystem(tol)
+        support = [(w[k], v[:, k]) for k in np.nonzero(w > tol.support_cutoff)[0]]
+    total = float(sum(val for val, _ in support))
+    sub = Ensemble(
+        tuple((val / total, PureState(vec, state.dim_a, state.dim_b)) for val, vec in support)
+    )
     if local_orthogonality_check(sub, tol).certified:
-        ec = float(sum(wk * pure_state_entanglement(psi, tol) for wk, psi in zip(weights, vectors)))
+        ec = float(sum(wk * pure_state_entanglement(psi, tol) for wk, psi in sub.components))
         return ComponentCost(ec=ec, s=von_neumann_entropy(state, tol), resettable=True)
-    if (state.dim_a, state.dim_b) == (2, 2) and _is_bell_diagonal(state, tol):
+    if two_qubit and _is_bell_diagonal(state, tol):
         return ComponentCost(
             ec=eof_2q(state, tol), s=von_neumann_entropy(state, tol), resettable=False
         )
@@ -207,7 +232,7 @@ def reversible_cost_bound(e: Ensemble, tol: Tolerances = DEFAULT) -> float:
     """
     if not local_orthogonality_check(e, tol).certified:
         raise NotCertifiedOrthogonal("decomposition is not certified locally orthogonal")
-    entropies = [(w, local_entropies(_as_density(s), tol)) for w, s in e.components]
+    entropies = [(w, local_entropies(s, tol)) for w, s in e.components]
     return min(float(sum(w * pair[k] for w, pair in entropies)) for k in (0, 1))
 
 
@@ -215,11 +240,13 @@ def formation_surplus_bound(e: Ensemble, tol: Tolerances = DEFAULT) -> float:
     """Weighted component entropy: dissipation bound for this decomposition.
 
     Requires the local-orthogonality certificate and never exceeds the
-    entropy of the averaged state.
+    entropy of the averaged state. A pure component's entropy is 0.
     """
     if not local_orthogonality_check(e, tol).certified:
         raise NotCertifiedOrthogonal("decomposition is not certified locally orthogonal")
-    value = float(sum(w * von_neumann_entropy(_as_density(s), tol) for w, s in e.components))
+    value = float(
+        sum(w * von_neumann_entropy(s, tol) for w, s in e.components if not isinstance(s, PureState))
+    )
     ceiling = von_neumann_entropy(ensemble_average(e, tol), tol)
     if value > ceiling + 1e-9:
         raise ArithmeticError(

@@ -10,6 +10,7 @@ import numpy as np
 from .linalg import (
     DensityOperator,
     PureState,
+    _decided,
     _read_only,
     _require_dim,
     schmidt_coefficients,
@@ -180,10 +181,7 @@ def product_eigenbasis_check(rho: DensityOperator, tol: Tolerances = DEFAULT) ->
     ``assumed_exact_values`` and repeated calls share one decision; any other
     tolerances decide afresh, with every check, and an error stores nothing.
     """
-    stored = rho._product_verdicts.get(tol)
-    if stored is None:
-        stored = rho._product_verdicts[tol] = _decide_product_basis(rho, tol)
-    return stored
+    return _decided(rho, _decide_product_basis, tol)
 
 
 def _decide_product_basis(rho: DensityOperator, tol: Tolerances) -> ProductBasisResult:

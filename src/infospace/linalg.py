@@ -6,9 +6,13 @@ eigenpair residual of its result, and every caller's ``tol`` is checked
 against those on every call. A :class:`DensityOperator` is immutable, so it
 decomposes its matrix, and the B-side partial transpose of it, at most once,
 on first use, and keeps the read-only results. It also keeps its two reduced
-states, which store and certify their own decompositions the same way, and
-the product-eigenbasis verdict of :func:`infospace.families.product_eigenbasis_check`,
-one per tolerance value.
+states, which store and certify their own decompositions the same way, and a
+table of what was decided under one tolerance value: the product-eigenbasis
+verdict of :func:`infospace.families.product_eigenbasis_check` and the
+formation cost of :func:`infospace.ensembles.formation_point`'s mixed
+components, each stored under its ``Tolerances`` value. A :class:`PureState`
+keeps its two reduced states too, built from its amplitudes with no d x d
+projector.
 """
 
 import sys
@@ -163,8 +167,9 @@ class DensityOperator:
     first use, and certified against the caller's tolerances on every call.
     The two reduced states are built at most once each and are operators of
     their own, so their decompositions are stored and certified alike. The
-    product-eigenbasis verdict is stored per tolerance value: a call with any
-    other ``tol`` decides afresh, and a call that raises stores nothing.
+    product-eigenbasis verdict and a mixed component's formation cost are
+    stored per tolerance value (see :func:`_decided`): a call with any other
+    ``tol`` decides afresh, and a call that raises stores nothing.
     """
 
     matrix: np.ndarray
@@ -222,8 +227,8 @@ class DensityOperator:
         return DensityOperator(np.einsum("ijil->jl", r), 1, self.dim_b)
 
     @_stored
-    def _product_verdicts(self) -> dict:
-        """``families.product_eigenbasis_check`` results, keyed by the ``Tolerances`` value."""
+    def _decisions(self) -> dict:
+        """Results of :func:`_decided`, keyed by (deciding function, ``Tolerances`` value)."""
         return {}
 
     def eigensystem(self, tol: Tolerances = DEFAULT) -> tuple[np.ndarray, np.ndarray]:
@@ -246,9 +251,29 @@ class DensityOperator:
         return _certified(self._pt_decomposition, tol)[0]
 
 
+def _decided(rho: DensityOperator, decide, tol: Tolerances):
+    """``decide(rho, tol)``, computed once per ``tol`` value and stored on ``rho``.
+
+    Every decision made by a function of the state and the tolerances alone
+    shares the one table: a call with any other ``tol`` decides afresh, with
+    every check, and a decision that raises stores nothing.
+    """
+    key = (decide, tol)
+    result = rho._decisions.get(key)
+    if result is None:
+        result = rho._decisions[key] = decide(rho, tol)
+    return result
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Bipartite state vector, unit norm within tolerance; compared by identity."""
+    """Bipartite state vector, unit norm within tolerance; compared by identity.
+
+    Its two reduced states are built at most once each, straight from the
+    amplitudes (with M the amplitudes as a dim_a x dim_b matrix, M M^dag and
+    M^T conj(M)), and store and certify their decompositions like any
+    :class:`DensityOperator`; no d x d projector is formed.
+    """
 
     amplitudes: np.ndarray
     dim_a: int
@@ -268,6 +293,16 @@ class PureState:
             raise ValueError(f"state vector not normalized, | ||psi||^2 - 1 | = {residual:.3g}")
         object.__setattr__(self, "amplitudes", _read_only(v.copy()))
 
+    @_stored
+    def _reduced_a(self) -> DensityOperator:
+        m = self.amplitudes.reshape(self.dim_a, self.dim_b)
+        return DensityOperator(m @ m.conj().T, self.dim_a, 1)
+
+    @_stored
+    def _reduced_b(self) -> DensityOperator:
+        m = self.amplitudes.reshape(self.dim_a, self.dim_b)
+        return DensityOperator(m.T @ m.conj(), 1, self.dim_b)
+
     def projector(self) -> DensityOperator:
         """Rank-one density operator |psi><psi|."""
         return DensityOperator(
@@ -280,8 +315,12 @@ def tensor_product(a, b) -> np.ndarray:
     return np.kron(check_matrix(a), check_matrix(b))
 
 
-def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
-    """Reduced state of the kept subsystem, ``keep`` in {'A', 'B'}; ``rho`` keeps it."""
+def partial_trace(rho: DensityOperator | PureState, keep) -> DensityOperator:
+    """Reduced state of the kept subsystem, ``keep`` in {'A', 'B'}; ``rho`` keeps it.
+
+    A :class:`PureState` is taken the same way as an operator, without
+    forming its projector.
+    """
     side = str(keep).upper()
     if side == "A":
         return rho._reduced_a

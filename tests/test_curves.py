@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -31,6 +32,33 @@ H_09 = 0.4689955935892812
 
 def bell_curve(p: float) -> InformationCurve:
     return build_lower_envelope(bell_formation_points(p))
+
+
+class TestProtocolPointType:
+    def test_fields_are_frozen(self):
+        point = ProtocolPoint(0.5, 1.5, PointKind.FORMATION_INTERMEDIATE, "x")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            point.q = 0.25
+        assert point.q == 0.5
+
+    @pytest.mark.parametrize("field", ["q", "i"])
+    def test_replace_runs_the_checks(self, field):
+        point = ProtocolPoint(0.5, 1.5, PointKind.FORMATION_INTERMEDIATE, "x")
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(point, **{field: math.nan})
+        with pytest.raises(ValueError, match="nonnegative"):
+            dataclasses.replace(point, **{field: -0.1})
+        assert dataclasses.replace(point, label="y").label == "y"
+
+    def test_eq_hash_and_repr_follow_the_fields(self):
+        kind = PointKind.FORMATION_ENDPOINT_EC
+        point = ProtocolPoint(0.5, 1.5, kind, "x")
+        assert point == ProtocolPoint(0.5, 1.5, kind, "x") == ProtocolPoint(q=0.5, i=1.5, kind=kind, label="x")
+        assert point != ProtocolPoint(0.5, 1.5, kind, "y")
+        assert hash(point) == hash((0.5, 1.5, kind, "x"))
+        assert repr(point) == f"ProtocolPoint(q=0.5, i=1.5, kind={kind!r}, label='x')"
+        assert ProtocolPoint(0.0, 2.0, kind).label == ""
+        assert [f.name for f in dataclasses.fields(point)] == ["q", "i", "kind", "label"]
 
 
 class TestFormationEndpoints:

@@ -32,6 +32,7 @@ from infospace import (
     validate_density,
     von_neumann_entropy,
 )
+from infospace.ensembles import _component_cost
 from helpers import (
     BELL_MINUS,
     BELL_PLUS,
@@ -338,6 +339,35 @@ class TestFormationPoint:
         )
         with pytest.raises(ComponentCostUnknown):
             formation_point(Ensemble(((1.0, odd),)))
+
+    def test_component_cost_invariant_under_local_unitaries(self):
+        # eigh picks an arbitrary basis of the degenerate {|00>, |11>} eigenspace once
+        # the state is rotated; the product eigenbasis is what the cost must follow
+        cc = classically_correlated([0.5, 0.5])
+        want = _component_cost(cc, DEFAULT)
+        assert (want.ec, want.s, want.resettable) == (0.0, 1.0, True)
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            u = random_local_unitary(rng)
+            rotated = validate_density(rotated_spectrum(u, [0.5, 0.0, 0.0, 0.5]), 2, 2)
+            cost = _component_cost(rotated, DEFAULT)
+            assert cost.ec == pytest.approx(want.ec, abs=1e-12)
+            assert cost.s == pytest.approx(want.s, abs=1e-12)
+            assert cost.resettable is want.resettable
+
+    @pytest.mark.parametrize("p", [0.1, 0.25, 0.4])
+    def test_locally_rotated_split_decomposition(self, p):
+        rng = np.random.default_rng(int(100 * p))
+        u = random_local_unitary(rng)
+        e = Ensemble(
+            (
+                (2.0 * p, validate_density(rotated_spectrum(u, [0.5, 0.0, 0.0, 0.5]), 2, 2)),
+                (1.0 - 2.0 * p, PureState(u @ BELL_MINUS, 2, 2)),
+            )
+        )
+        point = formation_point(e)
+        assert point.q == pytest.approx(1.0 - 2.0 * p, abs=1e-9)
+        assert point.i == pytest.approx(2.0 - 2.0 * p, abs=1e-9)
 
     def test_never_beats_formation_entanglement(self):
         ensembles = [split_decomposition(p) for p in (0.05, 0.15, 0.25, 0.35, 0.45)]

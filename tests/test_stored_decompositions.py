@@ -1,5 +1,6 @@
 """Each DensityOperator decomposes itself, builds its reduced states and decides its
-product-eigenbasis verdict at most once, and never weakens a check."""
+product-eigenbasis verdict and component cost at most once, each PureState builds its
+reduced states at most once and never a projector, and no check is weakened."""
 
 import dataclasses
 import functools
@@ -9,6 +10,7 @@ import pytest
 
 from infospace import (
     DEFAULT,
+    ComponentCostUnknown,
     DensityOperator,
     EigenConvergenceError,
     Ensemble,
@@ -21,6 +23,7 @@ from infospace import (
     classically_correlated,
     classify,
     concurrence_2q,
+    ensemble_average,
     eof_2q,
     formation_point,
     formation_surplus_bound,
@@ -30,13 +33,14 @@ from infospace import (
     partial_trace,
     partial_transpose,
     product_eigenbasis_check,
+    pure_state_entanglement,
     reversible_cost_bound,
     support_projector,
     validate_density,
     von_neumann_entropy,
 )
 from infospace.cli import main
-from infospace.ensembles import _component_cost
+from infospace.ensembles import _component_cost, _mixed_component_cost
 from helpers import (
     BELL_MINUS,
     BELL_PLUS,
@@ -127,12 +131,50 @@ def _certified_pair():
     return Ensemble(((0.5, PureState(KET_00, 2, 2)), (0.5, PureState(KET_11, 2, 2))))
 
 
+def _pure_state(name):
+    rng = np.random.default_rng(71)
+    dims = {"bell": None, "random-2x2": (2, 2), "random-2x4": (2, 4), "random-4x4": (4, 4)}[name]
+    if dims is None:
+        return PureState(BELL_PLUS, 2, 2)
+    return PureState(random_state_vector(rng, dims[0] * dims[1]), *dims)
+
+
+_PURE_STATES = ["bell", "random-2x2", "random-2x4", "random-4x4"]
+
+
+def _pure_blocks_4x4():
+    """Two Schmidt-rank-2 pure states on orthogonal halves of A: certified on side A."""
+    rng = np.random.default_rng(73)
+    comps = []
+    for k, weight in enumerate((0.3, 0.7)):
+        b = random_unitary(rng, 4)
+        amp = (np.kron(np.eye(4)[2 * k], b[:, 0]) + np.kron(np.eye(4)[2 * k + 1], b[:, 1])) / np.sqrt(2)
+        comps.append((weight, PureState(amp, 4, 4)))
+    return Ensemble(tuple(comps))
+
+
+def _mixed_components():
+    """Component matrices and dims, one per cost rule (rotated ones by seed)."""
+    rng = np.random.default_rng(79)
+    a = random_unitary(rng, 2)[:, 0]
+    return {
+        "classical": (classically_correlated([0.5, 0.5]).matrix, 2, 2),
+        "classical-rotated": (rotated_spectrum(random_local_unitary(rng), [0.5, 0, 0, 0.5]), 2, 2),
+        "half-mixed-block": (np.kron(np.outer(a, a.conj()), np.eye(2) / 2), 2, 2),
+        "bell-diagonal": (bell_mixture(0.2).matrix, 2, 2),
+        "classical-4x4": (classically_correlated([0.2, 0.3, 0.1, 0.4]).matrix, 4, 4),
+    }
+
+
+_MIXED = _mixed_components()
+
+
 # input builder, call, eigh calls the call makes on an input built beforehand
 _ENSEMBLE_CALLS = {
     "formation_point-split": (lambda: split_decomposition(0.25), formation_point, 7),
     "formation_point-pair": (_certified_pair, formation_point, 3),
-    "reversible_cost_bound": (_certified_pair, reversible_cost_bound, 6),
-    "formation_surplus_bound": (_certified_pair, formation_surplus_bound, 5),
+    "reversible_cost_bound": (_certified_pair, reversible_cost_bound, 4),
+    "formation_surplus_bound": (_certified_pair, formation_surplus_bound, 3),
     "assumed_exact_values": (lambda: bell_mixture(0.25), assumed_exact_values, 2),
 }
 
@@ -215,6 +257,77 @@ class TestDecompositionCounts:
         shapes = record_eigh(monkeypatch)
         call(arg)
         assert len(shapes) == count
+
+
+class TestPureComponents:
+    @pytest.mark.parametrize("name", _PURE_STATES)
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_reduced_states_come_from_the_amplitudes(self, name, side):
+        psi = _pure_state(name)
+        reduced = partial_trace(psi, side)
+        assert partial_trace(psi, side) is reduced
+        want = partial_trace(psi.projector(), side)
+        assert (reduced.dim_a, reduced.dim_b) == (want.dim_a, want.dim_b)
+        assert np.max(np.abs(reduced.matrix - want.matrix)) <= 1e-15
+        with pytest.raises(ValueError):
+            reduced.matrix[0, 0] = 0.0
+
+    @pytest.mark.parametrize("name", _PURE_STATES)
+    def test_local_entropies_equal_the_entanglement(self, name):
+        psi = _pure_state(name)
+        e = pure_state_entanglement(psi)
+        s_a, s_b = local_entropies(psi)
+        assert abs(s_a - e) <= 1e-12 and abs(s_b - e) <= 1e-12
+
+    @pytest.mark.parametrize("build", [_certified_pair, _pure_blocks_4x4], ids=["2x2", "4x4"])
+    def test_no_component_becomes_a_projector(self, monkeypatch, build):
+        e = build()
+        monkeypatch.setattr(PureState, "projector", lambda self: pytest.fail("projector built"))
+        for call in (ensemble_average, formation_point, reversible_cost_bound, formation_surplus_bound):
+            call(e)
+
+    @pytest.mark.parametrize("call", [formation_point, reversible_cost_bound, formation_surplus_bound])
+    @pytest.mark.parametrize("build", [_certified_pair, _pure_blocks_4x4], ids=["2x2", "4x4"])
+    def test_second_call_decomposes_only_the_average(self, monkeypatch, build, call):
+        e = build()
+        first = call(e)
+        shapes = record_eigh(monkeypatch)
+        assert call(e) == first
+        d = e.dims[0] * e.dims[1]
+        assert shapes == ([] if call is reversible_cost_bound else [(d, d)])
+
+
+class TestStoredComponentCost:
+    @pytest.mark.parametrize("name", sorted(_MIXED))
+    def test_stored_cost_equals_a_fresh_one(self, monkeypatch, name):
+        m, dim_a, dim_b = _MIXED[name]
+        rho = validate_density(m, dim_a, dim_b)
+        cost = _component_cost(rho, DEFAULT)
+        shapes = record_eigh(monkeypatch) + record_svd(monkeypatch)
+        assert _component_cost(rho, DEFAULT) is cost
+        assert shapes == []
+        assert _component_cost(validate_density(m, dim_a, dim_b), DEFAULT) == cost
+
+    def test_other_tolerances_decide_afresh(self, monkeypatch):
+        m, _, _ = _MIXED["classical-rotated"]
+        rho = validate_density(m, 2, 2)
+        cost = _component_cost(rho, DEFAULT)
+        strict = dataclasses.replace(DEFAULT, eigen_residual=1e-30)
+        with pytest.raises(EigenConvergenceError):
+            _component_cost(rho, strict)
+        shapes = record_svd(monkeypatch)
+        other = _component_cost(rho, dataclasses.replace(DEFAULT, overlap=2e-9))
+        assert shapes and other == cost and other is not cost
+
+    def test_unknown_cost_is_not_stored(self):
+        odd = validate_density(
+            0.5 * np.outer(BELL_PLUS, BELL_PLUS.conj()) + 0.5 * np.outer(KET_00, KET_00), 2, 2
+        )
+        for _ in range(2):
+            with pytest.raises(ComponentCostUnknown):
+                _component_cost(odd, DEFAULT)
+        assert [decide for decide, _ in odd._decisions] != []
+        assert all(decide is not _mixed_component_cost for decide, _ in odd._decisions)
 
 
 class TestSupportProjector:
