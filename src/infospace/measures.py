@@ -47,8 +47,10 @@ def information_content(rho: DensityOperator, tol: Tolerances = DEFAULT) -> floa
     return rho.n_qubits - von_neumann_entropy(rho, tol)
 
 
-def local_entropies(rho: DensityOperator, tol: Tolerances = DEFAULT) -> tuple[float, float]:
-    """Entropies of the two reduced states, as ``(s_a, s_b)``."""
+def local_entropies(
+    rho: DensityOperator | PureState, tol: Tolerances = DEFAULT
+) -> tuple[float, float]:
+    """Entropies of the two reduced states, as ``(s_a, s_b)``; a pure state needs no projector."""
     s_a = von_neumann_entropy(partial_trace(rho, "A"), tol)
     s_b = von_neumann_entropy(partial_trace(rho, "B"), tol)
     return s_a, s_b
