@@ -7,10 +7,14 @@ certificate is sound, a negative one is inconclusive.
 
 A decomposition reads what its components store. A pure component's reduced
 states come straight from its amplitudes and keep their decompositions, so no
-component ever becomes a d x d projector. A mixed component's formation cost
-is decided once per ``Tolerances`` value and stored on the component, in the
-table that also holds its product-eigenbasis verdict; a component without a
-cost rule stores nothing. The averaged state is built afresh on every call.
+component ever becomes a d x d projector. Every result here is decided once
+per ``Tolerances`` value and stored, like the product-eigenbasis verdict (see
+:func:`infospace.linalg._decided`): a mixed component's formation cost on the
+component, the closed-form values on the state, and the local-orthogonality
+certificate, the formation point and the two bounds on the :class:`Ensemble`,
+so the three share one certificate. Any other ``tol`` decides afresh, and a
+call that raises stores nothing. The averaged state is not stored: it is built
+afresh by the first call of each function that needs it.
 """
 
 import math
@@ -27,6 +31,7 @@ from .linalg import (
     _document_dims,
     _document_numbers,
     _require_dim,
+    _stored,
     partial_trace,
     support_projector,
     validate_density,
@@ -60,7 +65,11 @@ class NotApplicable(ValueError):
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Weighted mixture of component states on one pair of dimensions."""
+    """Weighted mixture of component states on one pair of dimensions.
+
+    Like a :class:`DensityOperator`, it keeps a table of what was decided
+    about it under one tolerance value.
+    """
 
     components: tuple[tuple[float, DensityOperator | PureState], ...]
 
@@ -84,8 +93,13 @@ class Ensemble:
         _, s = self.components[0]
         return s.dim_a, s.dim_b
 
+    @_stored
+    def _decisions(self) -> dict:
+        """Results of :func:`_decided`, keyed by (deciding function, ``Tolerances`` value)."""
+        return {}
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class ComponentCost:
     """Formation bookkeeping for one component.
 
@@ -99,7 +113,7 @@ class ComponentCost:
     resettable: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocalOrthogonality:
     """Outcome of the pairwise local-support orthogonality certificate."""
 
@@ -124,8 +138,13 @@ def local_orthogonality_check(e: Ensemble, tol: Tolerances = DEFAULT) -> LocalOr
 
     Returns the first side ('A' before 'B') on which every pair of reduced
     component supports has projector overlap within tolerance. A negative
-    result is inconclusive for the general operational definition.
+    result is inconclusive for the general operational definition. Stored on
+    ``e`` per ``tol`` value.
     """
+    return _decided(e, _local_orthogonality, tol)
+
+
+def _local_orthogonality(e: Ensemble, tol: Tolerances) -> LocalOrthogonality:
     for side in ("A", "B"):
         projectors = [
             support_projector(partial_trace(s, side), tol)
@@ -181,7 +200,7 @@ def _mixed_component_cost(state: DensityOperator, tol: Tolerances) -> ComponentC
     sub = Ensemble(
         tuple((val / total, PureState(vec, state.dim_a, state.dim_b)) for val, vec in support)
     )
-    if local_orthogonality_check(sub, tol).certified:
+    if _local_orthogonality(sub, tol).certified:  # sub is built here: nothing to store
         ec = float(sum(wk * pure_state_entanglement(psi, tol) for wk, psi in sub.components))
         return ComponentCost(ec=ec, s=von_neumann_entropy(state, tol), resettable=True)
     if two_qubit and _is_bell_diagonal(state, tol):
@@ -205,8 +224,12 @@ def formation_point(e: Ensemble, tol: Tolerances = DEFAULT) -> ProtocolPoint:
     qubit count minus whatever entropy the protocol can reclaim: component
     entropies whose instruction sets reset locally, or the full mixture
     entropy when the whole decomposition is certified locally orthogonal
-    (then formation is reversible).
+    (then formation is reversible). Stored on ``e`` per ``tol`` value.
     """
+    return _decided(e, _formation_point, tol)
+
+
+def _formation_point(e: Ensemble, tol: Tolerances) -> ProtocolPoint:
     avg = ensemble_average(e, tol)
     n = avg.n_qubits
     costs = [(w, _component_cost(s, tol)) for w, s in e.components]
@@ -228,8 +251,13 @@ def reversible_cost_bound(e: Ensemble, tol: Tolerances = DEFAULT) -> float:
 
     Requires the local-orthogonality certificate; the value is the smaller of
     the two sides' weighted reduced-component entropies. Upper-bounds the
-    true reversibility cost, evaluated on this decomposition only.
+    true reversibility cost, evaluated on this decomposition only. Stored on
+    ``e`` per ``tol`` value.
     """
+    return _decided(e, _reversible_cost_bound, tol)
+
+
+def _reversible_cost_bound(e: Ensemble, tol: Tolerances) -> float:
     if not local_orthogonality_check(e, tol).certified:
         raise NotCertifiedOrthogonal("decomposition is not certified locally orthogonal")
     entropies = [(w, local_entropies(s, tol)) for w, s in e.components]
@@ -240,8 +268,13 @@ def formation_surplus_bound(e: Ensemble, tol: Tolerances = DEFAULT) -> float:
     """Weighted component entropy: dissipation bound for this decomposition.
 
     Requires the local-orthogonality certificate and never exceeds the
-    entropy of the averaged state. A pure component's entropy is 0.
+    entropy of the averaged state. A pure component's entropy is 0. Stored on
+    ``e`` per ``tol`` value.
     """
+    return _decided(e, _formation_surplus_bound, tol)
+
+
+def _formation_surplus_bound(e: Ensemble, tol: Tolerances) -> float:
     if not local_orthogonality_check(e, tol).certified:
         raise NotCertifiedOrthogonal("decomposition is not certified locally orthogonal")
     value = float(
@@ -255,7 +288,7 @@ def formation_surplus_bound(e: Ensemble, tol: Tolerances = DEFAULT) -> float:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssumedExactValues:
     """Surplus and reversibility cost under the maximal-dissipation assumption."""
 
@@ -271,7 +304,12 @@ def assumed_exact_values(rho: DensityOperator, tol: Tolerances = DEFAULT) -> Ass
     only under the assumption that the decomposition bounds are tight; the
     result is flagged accordingly. Pure states are guarded out: their surplus
     is exactly zero and their single point comes from formation_point.
+    Stored on ``rho`` per ``tol`` value; a refusal stores nothing.
     """
+    return _decided(rho, _assumed_exact_values, tol)
+
+
+def _assumed_exact_values(rho: DensityOperator, tol: Tolerances) -> AssumedExactValues:
     if (rho.dim_a, rho.dim_b) != (2, 2):
         raise NotApplicable(f"two-qubit closed form, got dims ({rho.dim_a}, {rho.dim_b})")
     if rho.purity() >= 1.0 - tol.purity:

@@ -96,7 +96,7 @@ class StateCategory(enum.Enum):
     MIXED_PPT = "MixedPPT"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Classification:
     """Category plus the evidence values the thresholds were applied to."""
 
@@ -111,16 +111,25 @@ class ProductBasis(enum.Enum):
     NO = "no"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProductBasisResult:
     """Verdict plus, for PRODUCT, the product eigenbasis itself.
 
-    ``basis`` holds (eigenvalue, a_factor, b_factor) triples covering the
-    whole space, eigenspace by eigenspace.
+    ``basis`` reads as (eigenvalue, a_factor, b_factor) triples covering the
+    whole space, eigenspace by eigenspace. They are kept compactly: the k
+    eigenvalues, and one read-only (k, 2, 2) array whose row k holds a_k and
+    b_k.
     """
 
     status: ProductBasis
-    basis: tuple[tuple[float, np.ndarray, np.ndarray], ...] | None = None
+    values: tuple[float, ...] = ()
+    factors: np.ndarray | None = None
+
+    @property
+    def basis(self) -> tuple[tuple[float, np.ndarray, np.ndarray], ...] | None:
+        if self.factors is None:
+            return None
+        return tuple((val, f[0], f[1]) for val, f in zip(self.values, self.factors))
 
 
 def _schmidt_factors(vec: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -216,11 +225,9 @@ def _decide_product_basis(rho: DensityOperator, tol: Tolerances) -> ProductBasis
         elif len(group) == 4:
             e = np.eye(2, dtype=complex)
             basis.extend((mean_val, e[i], e[j]) for i in range(2) for j in range(2))
-    return ProductBasisResult(
-        ProductBasis.PRODUCT,
-        # copies: a stored factor must not keep its SVD's or np.eye's whole matrix alive
-        tuple((val, _read_only(a.copy()), _read_only(b.copy())) for val, a, b in basis),
-    )
+    # one new array: a stored factor must not keep its SVD's or np.eye's whole matrix alive
+    factors = _read_only(np.array([(a, b) for _, a, b in basis], dtype=complex))
+    return ProductBasisResult(ProductBasis.PRODUCT, tuple(val for val, _, _ in basis), factors)
 
 
 def _correlated_labels(basis, tol: Tolerances) -> bool:
@@ -249,7 +256,14 @@ def classify(rho: DensityOperator, tol: Tolerances = DEFAULT) -> Classification:
     for pure states and beyond two qubits. Beyond two qubits the
     partial-transpose evidence is still reported but only the Pure*/Mixed*
     categories are assigned.
+
+    The result is stored on ``rho`` under ``tol``'s value, like the verdict
+    of ``product_eigenbasis_check``.
     """
+    return _decided(rho, _classify, tol)
+
+
+def _classify(rho: DensityOperator, tol: Tolerances) -> Classification:
     purity = rho.purity()
     ppt_min = float(rho.partial_transpose_spectrum(tol)[0])
     npt = ppt_min < -abs(tol.positivity_floor)

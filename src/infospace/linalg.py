@@ -7,12 +7,14 @@ against those on every call. A :class:`DensityOperator` is immutable, so it
 decomposes its matrix, and the B-side partial transpose of it, at most once,
 on first use, and keeps the read-only results. It also keeps its two reduced
 states, which store and certify their own decompositions the same way, and a
-table of what was decided under one tolerance value: the product-eigenbasis
-verdict of :func:`infospace.families.product_eigenbasis_check` and the
-formation cost of :func:`infospace.ensembles.formation_point`'s mixed
-components, each stored under its ``Tolerances`` value. A :class:`PureState`
-keeps its two reduced states too, built from its amplitudes with no d x d
-projector.
+table of what was decided under one tolerance value (see :func:`_decided`):
+its category from :func:`infospace.families.classify`, its product-eigenbasis
+verdict, its closed-form values from
+:func:`infospace.ensembles.assumed_exact_values` and, as a mixed component of
+a decomposition, its formation cost. An :class:`infospace.ensembles.Ensemble`
+keeps the same table for its local-orthogonality certificate, formation point
+and bounds. A :class:`PureState` keeps its two reduced states too, built from
+its amplitudes with no d x d projector.
 """
 
 import sys
@@ -167,9 +169,10 @@ class DensityOperator:
     first use, and certified against the caller's tolerances on every call.
     The two reduced states are built at most once each and are operators of
     their own, so their decompositions are stored and certified alike. The
-    product-eigenbasis verdict and a mixed component's formation cost are
-    stored per tolerance value (see :func:`_decided`): a call with any other
-    ``tol`` decides afresh, and a call that raises stores nothing.
+    category, the product-eigenbasis verdict, the closed-form values and a
+    mixed component's formation cost are stored per tolerance value (see
+    :func:`_decided`): a call with any other ``tol`` decides afresh, and a call
+    that raises stores nothing.
     """
 
     matrix: np.ndarray
@@ -251,17 +254,20 @@ class DensityOperator:
         return _certified(self._pt_decomposition, tol)[0]
 
 
-def _decided(rho: DensityOperator, decide, tol: Tolerances):
-    """``decide(rho, tol)``, computed once per ``tol`` value and stored on ``rho``.
+def _decided(obj, decide, tol: Tolerances):
+    """``decide(obj, tol)``, computed once per ``tol`` value and stored on ``obj``.
 
-    Every decision made by a function of the state and the tolerances alone
-    shares the one table: a call with any other ``tol`` decides afresh, with
-    every check, and a decision that raises stores nothing.
+    ``obj`` is a :class:`DensityOperator` or an ``Ensemble``, each with a
+    ``_decisions`` table. Every decision made by a function of the object and
+    the tolerances alone shares the one table: a call with an equal ``tol``
+    returns the stored result itself, a call with any other ``tol`` decides
+    afresh, with every check, and a decision that raises stores nothing. Only
+    small immutable results go in.
     """
     key = (decide, tol)
-    result = rho._decisions.get(key)
+    result = obj._decisions.get(key)
     if result is None:
-        result = rho._decisions[key] = decide(rho, tol)
+        result = obj._decisions[key] = decide(obj, tol)
     return result
 
 

@@ -1,6 +1,6 @@
 """Central numerical tolerance settings shared across the package."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -8,6 +8,8 @@ class Tolerances:
     """Single knob for every numerical threshold used by the toolkit.
 
     Property tests tweak one instance instead of hunting for magic numbers.
+    Instances key the stored decisions, so the hash of the field values is
+    computed once, at construction.
     """
 
     hermiticity: float = 1e-10        # max entrywise |M - M^dag|
@@ -22,6 +24,13 @@ class Tolerances:
     renormalize_drift: float = 1e-12  # drift above this (and below probability_drift) renormalizes
     purity: float = 1e-9              # 1 - tr(rho^2) threshold for pure classification
     max_dim: int = 64                 # total dimension cap for dense operators
+
+    def __post_init__(self):
+        # the value dataclass would hash on every call: the tuple of the fields
+        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
+
+    def __hash__(self):
+        return self._hash
 
 
 DEFAULT = Tolerances()

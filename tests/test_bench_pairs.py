@@ -32,9 +32,32 @@ def test_spread_inclusive_quartiles():
 @pytest.mark.parametrize("better, wins", [("higher", 1), ("lower", 2)])
 def test_summarise_counts_wins_not_ties(better, wins):
     before, after = [10.0, 20.0, 30.0, 40.0], [11.0, 19.0, 28.0, 40.0]
-    summary = bench_pairs.summarise(_runs(before, after, "m"), {"m": better})["m"]
+    metric = {"name": "m", "better": better, "bound": 0.25}
+    summary = bench_pairs.summarise(_runs(before, after, "m"), [metric])["m"]
     assert summary["better"] == better
     assert summary["after_better_pairs"] == wins
     assert summary["pairs"] == 4
     assert summary["before"] == bench_pairs.spread(before)
     assert summary["after"] == bench_pairs.spread(after)
+    assert summary["bound"] == 0.25 and not summary["worse_beyond_bound"]
+
+
+# before medians 100; "after" medians 70, 80, 120 and 130
+@pytest.mark.parametrize(
+    "better, after, worse",
+    [
+        ("higher", 70.0, True),  # 30% lower
+        ("higher", 80.0, False),  # 20% lower, within the bound
+        ("higher", 130.0, False),
+        ("lower", 130.0, True),  # 30% higher
+        ("lower", 120.0, False),  # 20% higher, within the bound
+        ("lower", 70.0, False),
+    ],
+)
+def test_worse_beyond_bound_compares_medians_with_bound_times_before(better, after, worse):
+    before = [90.0, 100.0, 110.0]
+    metric = {"name": "m", "better": better, "bound": 0.25}
+    runs = _runs(before, [after - 10.0, after, after + 10.0], "m")
+    summary = bench_pairs.summarise(runs, [metric])["m"]
+    assert summary["bound"] == 0.25
+    assert summary["worse_beyond_bound"] is worse

@@ -1,9 +1,12 @@
 """Each DensityOperator decomposes itself, builds its reduced states and decides its
-product-eigenbasis verdict and component cost at most once, each PureState builds its
-reduced states at most once and never a projector, and no check is weakened."""
+category, product-eigenbasis verdict, closed-form values and component cost at most
+once per tolerance value, each Ensemble its certificate, formation point and bounds,
+each PureState builds its reduced states at most once and never a projector, and no
+check is weakened."""
 
 import dataclasses
 import functools
+import pickle
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from infospace import (
     EigenConvergenceError,
     Ensemble,
     NotApplicable,
+    NotCertifiedOrthogonal,
     NotHermitian,
     ProductBasis,
     PureState,
@@ -29,6 +33,7 @@ from infospace import (
     formation_surplus_bound,
     hermitian_eigensystem,
     local_entropies,
+    local_orthogonality_check,
     measure_report,
     partial_trace,
     partial_transpose,
@@ -39,8 +44,16 @@ from infospace import (
     validate_density,
     von_neumann_entropy,
 )
+from infospace import ensembles
 from infospace.cli import main
-from infospace.ensembles import _component_cost, _mixed_component_cost
+from infospace.ensembles import (
+    _assumed_exact_values,
+    _component_cost,
+    _formation_surplus_bound,
+    _mixed_component_cost,
+    _reversible_cost_bound,
+)
+from infospace.tolerances import Tolerances
 from helpers import (
     BELL_MINUS,
     BELL_PLUS,
@@ -288,13 +301,12 @@ class TestPureComponents:
 
     @pytest.mark.parametrize("call", [formation_point, reversible_cost_bound, formation_surplus_bound])
     @pytest.mark.parametrize("build", [_certified_pair, _pure_blocks_4x4], ids=["2x2", "4x4"])
-    def test_second_call_decomposes_only_the_average(self, monkeypatch, build, call):
+    def test_second_call_decomposes_nothing(self, monkeypatch, build, call):
         e = build()
         first = call(e)
         shapes = record_eigh(monkeypatch)
-        assert call(e) == first
-        d = e.dims[0] * e.dims[1]
-        assert shapes == ([] if call is reversible_cost_bound else [(d, d)])
+        assert call(e) is first
+        assert shapes == []
 
 
 class TestStoredComponentCost:
@@ -328,6 +340,120 @@ class TestStoredComponentCost:
                 _component_cost(odd, DEFAULT)
         assert [decide for decide, _ in odd._decisions] != []
         assert all(decide is not _mixed_component_cost for decide, _ in odd._decisions)
+
+
+def _mixed_two_qubit():
+    return validate_density(random_density_matrix(np.random.default_rng(37), 4), 2, 2)
+
+
+# every stored decision: input builder (a new object with the same content per
+# call, and residuals above 1e-30) and the public call
+_DECISIONS = {
+    "classify": (_mixed_two_qubit, classify),
+    "classify-4x4": (lambda: validate_density(random_density_matrix(np.random.default_rng(41), 16), 4, 4), classify),
+    "product_eigenbasis_check": (_mixed_two_qubit, product_eigenbasis_check),
+    "assumed_exact_values": (_mixed_two_qubit, assumed_exact_values),
+    "local_orthogonality_check": (_pure_blocks_4x4, local_orthogonality_check),
+    "formation_point": (_pure_blocks_4x4, formation_point),
+    "reversible_cost_bound": (_pure_blocks_4x4, reversible_cost_bound),
+    "formation_surplus_bound": (_pure_blocks_4x4, formation_surplus_bound),
+}
+
+
+class TestStoredDecisions:
+    @pytest.mark.parametrize("name", sorted(_DECISIONS))
+    def test_equal_tolerances_return_the_stored_result(self, monkeypatch, name):
+        build, call = _DECISIONS[name]
+        obj = build()
+        first = call(obj)
+        shapes = record_eigh(monkeypatch) + record_svd(monkeypatch)
+        assert call(obj) is first
+        assert call(obj, Tolerances()) is first
+        assert shapes == []
+
+    @pytest.mark.parametrize("name", sorted(_DECISIONS))
+    def test_stored_result_equals_a_fresh_one(self, name):
+        build, call = _DECISIONS[name]
+        obj = build()
+        call(obj)
+        stored = call(obj)
+        assert stored == call(build())
+
+    @pytest.mark.parametrize("name", sorted(_DECISIONS))
+    def test_other_tolerances_decide_afresh(self, name):
+        build, call = _DECISIONS[name]
+        obj = build()
+        first = call(obj)
+        strict = dataclasses.replace(DEFAULT, eigen_residual=1e-30)
+        with pytest.raises(EigenConvergenceError):
+            call(obj, strict)
+        other = dataclasses.replace(DEFAULT, overlap=2e-9)
+        before = set(obj._decisions)
+        again = call(obj, other)
+        assert any(tol is other for _, tol in set(obj._decisions) - before)
+        assert again == first and call(obj) is first
+
+    @pytest.mark.parametrize(
+        "rho",
+        [PureState(BELL_PLUS, 2, 2).projector(), classically_correlated([0.3, 0.7])],
+        ids=["pure", "product-basis"],
+    )
+    def test_refused_closed_form_is_not_stored(self, rho):
+        for _ in range(2):
+            with pytest.raises(NotApplicable):
+                assumed_exact_values(rho)
+        assert all(decide is not _assumed_exact_values for decide, _ in rho._decisions)
+
+    def test_uncertified_bounds_are_not_stored(self):
+        e = split_decomposition(0.25)
+        for _ in range(2):
+            for call in (reversible_cost_bound, formation_surplus_bound):
+                with pytest.raises(NotCertifiedOrthogonal):
+                    call(e)
+        decided = [decide for decide, _ in e._decisions]
+        assert decided == [ensembles._local_orthogonality]
+        assert local_orthogonality_check(e).certified is False
+
+    @pytest.mark.parametrize("build", [_certified_pair, _pure_blocks_4x4], ids=["2x2", "4x4"])
+    def test_one_certificate_for_the_point_and_both_bounds(self, monkeypatch, build):
+        calls = []
+        original = ensembles.support_projector
+
+        def counted(rho, tol=DEFAULT):
+            calls.append(rho)
+            return original(rho, tol)
+
+        monkeypatch.setattr(ensembles, "support_projector", counted)
+        local_orthogonality_check(build())
+        once = len(calls)
+        calls.clear()
+        e = build()
+        for call in (formation_point, reversible_cost_bound, formation_surplus_bound):
+            call(e)
+        assert once > 0 and len(calls) == once
+
+
+class TestTolerancesHash:
+    def test_equal_instances_hash_equal_and_share_one_decision(self):
+        same, other = Tolerances(), dataclasses.replace(DEFAULT, overlap=2e-9)
+        assert same == DEFAULT and same is not DEFAULT and hash(same) == hash(DEFAULT)
+        assert dataclasses.replace(DEFAULT, overlap=2e-9) == other
+        assert hash(dataclasses.replace(DEFAULT, overlap=2e-9)) == hash(other)
+        fields = tuple(getattr(other, f.name) for f in dataclasses.fields(other))
+        assert hash(other) == hash(fields)
+        rho = _mixed_two_qubit()
+        assert classify(rho, same) is classify(rho, DEFAULT)
+        assert len(rho._decisions) == 2  # classify and the product-eigenbasis verdict
+
+    def test_replace_and_pickle_keep_values_and_hash(self):
+        other = dataclasses.replace(DEFAULT, schmidt=1e-8)
+        assert other.schmidt == 1e-8 and other.overlap == DEFAULT.overlap
+        back = pickle.loads(pickle.dumps(other))
+        assert back == other and hash(back) == hash(other)
+        assert dataclasses.replace(other, schmidt=DEFAULT.schmidt) == DEFAULT
+        assert repr(DEFAULT).startswith("Tolerances(hermiticity=1e-10,")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            DEFAULT.overlap = 1.0
 
 
 class TestSupportProjector:
@@ -399,7 +525,10 @@ class TestChecksStayFull:
                 reduced.matrix[0, 0] = 0.0
         result = product_eigenbasis_check(rho)
         assert result.status is ProductBasis.PRODUCT and len(result.basis) == 4
-        for _, a, b in result.basis:
+        assert result.factors.shape == (4, 2, 2) and not result.factors.flags.writeable
+        assert all(type(val) is float for val in result.values)
+        for (val, a, b), stored, pair in zip(result.basis, result.values, result.factors):
+            assert val == stored and np.array_equal(a, pair[0]) and np.array_equal(b, pair[1])
             for factor in (a, b):
                 with pytest.raises(ValueError):
                     factor[0] = 0.0

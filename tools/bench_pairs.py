@@ -11,9 +11,11 @@ odd ones, so a slow drift of the machine does not favour one side. T is the
 of a workload go under ``workloads.W`` of the output file, next to any other
 workload already in it, with every run's end-to-end metrics, the git SHA,
 the tree of ``src/``, the Python and numpy versions of each side, and per
-metric the median and quartiles of each side and the number of pairs in
-which "after" is better. Quartiles are ``statistics.quantiles(n=4,
-method="inclusive")``. Standard library only.
+metric the median and quartiles of each side, the number of pairs in which
+"after" is better, the metric's ``bound`` from ``BENCHMARK.json`` and
+``worse_beyond_bound``: whether the "after" median is worse than the
+"before" median by more than bound x the "before" median. Quartiles are
+``statistics.quantiles(n=4, method="inclusive")``. Standard library only.
 """
 
 import argparse
@@ -63,13 +65,16 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarise(runs: list[dict], directions: dict) -> dict:
+def summarise(runs: list[dict], metrics: list[dict]) -> dict:
+    """Per-metric summary; ``metrics`` are the ``end_to_end`` entries of ``BENCHMARK.json``."""
     out = {}
-    for name, better in directions.items():
+    for metric in metrics:
+        name, better, bound = metric["name"], metric["better"], metric["bound"]
         before = [r["before"]["metrics"][name] for r in runs]
         after = [r["after"]["metrics"][name] for r in runs]
         wins = sum((a > b) if better == "higher" else (a < b) for a, b in zip(after, before))
         b, a = spread(before), spread(after)
+        worse_by = a["median"] - b["median"] if better == "lower" else b["median"] - a["median"]
         out[name] = {
             "better": better,
             "before": b,
@@ -77,6 +82,8 @@ def summarise(runs: list[dict], directions: dict) -> dict:
             "after_better_pairs": wins,
             "pairs": len(runs),
             "median_gap_over_before_iqr": abs(a["median"] - b["median"]) / (b["q3"] - b["q1"] or 1e-300),
+            "bound": bound,
+            "worse_beyond_bound": worse_by > bound * abs(b["median"]),
         }
     return out
 
@@ -95,7 +102,6 @@ def main(argv=None) -> int:
 
     with open(os.path.join(args.after, "BENCHMARK.json"), encoding="utf-8") as fh:
         benchmark = json.load(fh)
-    directions = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
     sides = {"before": args.before, "after": args.after}
     runs = []
@@ -116,7 +122,7 @@ def main(argv=None) -> int:
                    f"--seconds {seconds:g} --trace 0",
         "sides": {side: {"src_tree": src_tree(root), **runs[0][side]["versions"]}
                   for side, root in sides.items()},
-        "summary": summarise(runs, directions),
+        "summary": summarise(runs, benchmark["end_to_end"]),
         "runs": [{"seed": r["seed"], "first": r["first"],
                   **{s: {k: v for k, v in r[s].items() if k != "versions"} for s in sides}}
                  for r in runs],
