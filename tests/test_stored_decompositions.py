@@ -346,11 +346,15 @@ def _mixed_two_qubit():
     return validate_density(random_density_matrix(np.random.default_rng(37), 4), 2, 2)
 
 
+def _mixed_4x4():
+    return validate_density(random_density_matrix(np.random.default_rng(41), 16), 4, 4)
+
+
 # every stored decision: input builder (a new object with the same content per
 # call, and residuals above 1e-30) and the public call
 _DECISIONS = {
     "classify": (_mixed_two_qubit, classify),
-    "classify-4x4": (lambda: validate_density(random_density_matrix(np.random.default_rng(41), 16), 4, 4), classify),
+    "classify-4x4": (_mixed_4x4, classify),
     "product_eigenbasis_check": (_mixed_two_qubit, product_eigenbasis_check),
     "assumed_exact_values": (_mixed_two_qubit, assumed_exact_values),
     "local_orthogonality_check": (_pure_blocks_4x4, local_orthogonality_check),
