@@ -7,14 +7,13 @@ certificate is sound, a negative one is inconclusive.
 
 A decomposition reads what its components store. A pure component's reduced
 states come straight from its amplitudes and keep their decompositions, so no
-component ever becomes a d x d projector. Every result here is decided once
-per ``Tolerances`` value and stored, like the product-eigenbasis verdict (see
-:func:`infospace.linalg._decided`): a mixed component's formation cost on the
-component, the closed-form values on the state, and the local-orthogonality
-certificate, the formation point and the two bounds on the :class:`Ensemble`,
-so the three share one certificate. Any other ``tol`` decides afresh, and a
-call that raises stores nothing. The averaged state is not stored: it is built
-afresh by the first call of each function that needs it.
+component ever becomes a d x d projector. Every result here is a stored
+decision, under the one rule of :func:`infospace.linalg._decided`: a mixed
+component's formation cost on the component, the closed-form values on the
+state, and the local-orthogonality certificate, the formation point and the
+two bounds on the :class:`Ensemble`, so the three share one certificate. The
+averaged state is not stored: it is built afresh by the first call of each
+function that needs it.
 """
 
 import math
@@ -67,8 +66,8 @@ class NotApplicable(ValueError):
 class Ensemble:
     """Weighted mixture of component states on one pair of dimensions.
 
-    Like a :class:`DensityOperator`, it keeps a table of what was decided
-    about it under one tolerance value.
+    Like a :class:`DensityOperator`, it keeps a table of the decisions made
+    about it (see :func:`infospace.linalg._decided`).
     """
 
     components: tuple[tuple[float, DensityOperator | PureState], ...]
@@ -84,7 +83,7 @@ class Ensemble:
         if weights.min() < -DEFAULT.probability_drift:
             raise ValueError(f"negative component weight {weights.min()}")
         drift = abs(float(weights.sum()) - 1.0)
-        if drift > DEFAULT.probability_drift:
+        if not drift <= DEFAULT.probability_drift:  # NaN fails it
             raise ValueError(f"component weights sum to {weights.sum()}, drift {drift:.3g}")
         object.__setattr__(self, "components", comps)
 
@@ -95,7 +94,7 @@ class Ensemble:
 
     @_stored
     def _decisions(self) -> dict:
-        """Results of :func:`_decided`, keyed by (deciding function, ``Tolerances`` value)."""
+        """The stored decisions; see :func:`infospace.linalg._decided`."""
         return {}
 
 
@@ -133,7 +132,8 @@ def ensemble_average(e: Ensemble, tol: Tolerances = DEFAULT) -> DensityOperator:
     return validate_density(total, dim_a, dim_b, tol)
 
 
-def local_orthogonality_check(e: Ensemble, tol: Tolerances = DEFAULT) -> LocalOrthogonality:
+@_decided
+def local_orthogonality_check(e: Ensemble, /, tol: Tolerances = DEFAULT) -> LocalOrthogonality:
     """Certify pairwise-orthogonal component supports on one side.
 
     Returns the first side ('A' before 'B') on which every pair of reduced
@@ -141,10 +141,6 @@ def local_orthogonality_check(e: Ensemble, tol: Tolerances = DEFAULT) -> LocalOr
     result is inconclusive for the general operational definition. Stored on
     ``e`` per ``tol`` value.
     """
-    return _decided(e, _local_orthogonality, tol)
-
-
-def _local_orthogonality(e: Ensemble, tol: Tolerances) -> LocalOrthogonality:
     for side in ("A", "B"):
         projectors = [
             support_projector(partial_trace(s, side), tol)
@@ -169,10 +165,11 @@ def _component_cost(state, tol: Tolerances) -> ComponentCost:
     """
     if isinstance(state, PureState):
         return ComponentCost(ec=pure_state_entanglement(state, tol), s=0.0, resettable=True)
-    return _decided(state, _mixed_component_cost, tol)
+    return _mixed_component_cost(state, tol)
 
 
-def _mixed_component_cost(state: DensityOperator, tol: Tolerances) -> ComponentCost:
+@_decided
+def _mixed_component_cost(state: DensityOperator, /, tol: Tolerances = DEFAULT) -> ComponentCost:
     """Cost of a mixed component; a component that no rule covers raises.
 
     A mixed component whose spectral decomposition is locally orthogonal
@@ -200,7 +197,7 @@ def _mixed_component_cost(state: DensityOperator, tol: Tolerances) -> ComponentC
     sub = Ensemble(
         tuple((val / total, PureState(vec, state.dim_a, state.dim_b)) for val, vec in support)
     )
-    if _local_orthogonality(sub, tol).certified:  # sub is built here: nothing to store
+    if local_orthogonality_check(sub, tol).certified:
         ec = float(sum(wk * pure_state_entanglement(psi, tol) for wk, psi in sub.components))
         return ComponentCost(ec=ec, s=von_neumann_entropy(state, tol), resettable=True)
     if two_qubit and _is_bell_diagonal(state, tol):
@@ -217,7 +214,8 @@ def _is_bell_diagonal(rho: DensityOperator, tol: Tolerances) -> bool:
     return float(np.max(np.abs(m - np.diag(np.diagonal(m))))) <= tol.overlap
 
 
-def formation_point(e: Ensemble, tol: Tolerances = DEFAULT) -> ProtocolPoint:
+@_decided
+def formation_point(e: Ensemble, /, tol: Tolerances = DEFAULT) -> ProtocolPoint:
     """Intermediate formation point of a decomposition.
 
     Communication is the weighted component cost. The information cost is the
@@ -226,10 +224,6 @@ def formation_point(e: Ensemble, tol: Tolerances = DEFAULT) -> ProtocolPoint:
     entropy when the whole decomposition is certified locally orthogonal
     (then formation is reversible). Stored on ``e`` per ``tol`` value.
     """
-    return _decided(e, _formation_point, tol)
-
-
-def _formation_point(e: Ensemble, tol: Tolerances) -> ProtocolPoint:
     avg = ensemble_average(e, tol)
     n = avg.n_qubits
     costs = [(w, _component_cost(s, tol)) for w, s in e.components]
@@ -246,7 +240,8 @@ def _formation_point(e: Ensemble, tol: Tolerances) -> ProtocolPoint:
     )
 
 
-def reversible_cost_bound(e: Ensemble, tol: Tolerances = DEFAULT) -> float:
+@_decided
+def reversible_cost_bound(e: Ensemble, /, tol: Tolerances = DEFAULT) -> float:
     """Communication at which formation from this decomposition is reversible.
 
     Requires the local-orthogonality certificate; the value is the smaller of
@@ -254,27 +249,20 @@ def reversible_cost_bound(e: Ensemble, tol: Tolerances = DEFAULT) -> float:
     true reversibility cost, evaluated on this decomposition only. Stored on
     ``e`` per ``tol`` value.
     """
-    return _decided(e, _reversible_cost_bound, tol)
-
-
-def _reversible_cost_bound(e: Ensemble, tol: Tolerances) -> float:
     if not local_orthogonality_check(e, tol).certified:
         raise NotCertifiedOrthogonal("decomposition is not certified locally orthogonal")
     entropies = [(w, local_entropies(s, tol)) for w, s in e.components]
     return min(float(sum(w * pair[k] for w, pair in entropies)) for k in (0, 1))
 
 
-def formation_surplus_bound(e: Ensemble, tol: Tolerances = DEFAULT) -> float:
+@_decided
+def formation_surplus_bound(e: Ensemble, /, tol: Tolerances = DEFAULT) -> float:
     """Weighted component entropy: dissipation bound for this decomposition.
 
     Requires the local-orthogonality certificate and never exceeds the
     entropy of the averaged state. A pure component's entropy is 0. Stored on
     ``e`` per ``tol`` value.
     """
-    return _decided(e, _formation_surplus_bound, tol)
-
-
-def _formation_surplus_bound(e: Ensemble, tol: Tolerances) -> float:
     if not local_orthogonality_check(e, tol).certified:
         raise NotCertifiedOrthogonal("decomposition is not certified locally orthogonal")
     value = float(
@@ -297,19 +285,16 @@ class AssumedExactValues:
     assumption_dependent: bool = True
 
 
-def assumed_exact_values(rho: DensityOperator, tol: Tolerances = DEFAULT) -> AssumedExactValues:
+@_decided
+def assumed_exact_values(rho: DensityOperator, /, tol: Tolerances = DEFAULT) -> AssumedExactValues:
     """Closed-form surplus S(rho) and reversible cost min(S_A, S_B).
 
     Applies only to mixed two-qubit states without a product eigenbasis, and
     only under the assumption that the decomposition bounds are tight; the
     result is flagged accordingly. Pure states are guarded out: their surplus
     is exactly zero and their single point comes from formation_point.
-    Stored on ``rho`` per ``tol`` value; a refusal stores nothing.
+    Stored on ``rho`` per ``tol`` value.
     """
-    return _decided(rho, _assumed_exact_values, tol)
-
-
-def _assumed_exact_values(rho: DensityOperator, tol: Tolerances) -> AssumedExactValues:
     if (rho.dim_a, rho.dim_b) != (2, 2):
         raise NotApplicable(f"two-qubit closed form, got dims ({rho.dim_a}, {rho.dim_b})")
     if rho.purity() >= 1.0 - tol.purity:

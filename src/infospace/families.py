@@ -53,7 +53,7 @@ def _clean_weights(values, what: str) -> np.ndarray:
         raise ValueError(f"{what} entries must be nonnegative, got {w.min()}")
     with np.errstate(over="ignore"):  # 1e308 + 1e308 sums to inf, which the drift check refuses
         drift = abs(float(w.sum()) - 1.0)
-    if drift > _INPUT_DRIFT:
+    if not drift <= _INPUT_DRIFT:  # NaN fails it
         raise ValueError(f"{what} must sum to 1, drift {drift:.3g}")
     return w / w.sum()
 
@@ -176,7 +176,8 @@ def _product_pair(v1: np.ndarray, v2: np.ndarray, tol: Tolerances):
     return [_schmidt_factors(r / n)[1:] for r, n in ((r1, n1), (r2, n2))]
 
 
-def product_eigenbasis_check(rho: DensityOperator, tol: Tolerances = DEFAULT) -> ProductBasisResult:
+@_decided
+def product_eigenbasis_check(rho: DensityOperator, /, tol: Tolerances = DEFAULT) -> ProductBasisResult:
     """Decide whether a two-qubit state has an orthonormal product eigenbasis.
 
     The decision is exact, eigenspace by eigenspace (2 (x) 2 has no
@@ -186,14 +187,10 @@ def product_eigenbasis_check(rho: DensityOperator, tol: Tolerances = DEFAULT) ->
     space always has the computational basis. The verdict is PRODUCT, with
     the basis (read-only factors), or NO.
 
-    The result is stored on ``rho`` under ``tol``'s value, so ``classify``,
-    ``assumed_exact_values`` and repeated calls share one decision; any other
-    tolerances decide afresh, with every check, and an error stores nothing.
+    Stored on ``rho`` per ``tol`` value (see :func:`infospace.linalg._decided`),
+    so ``classify``, ``assumed_exact_values`` and repeated calls share one
+    decision.
     """
-    return _decided(rho, _decide_product_basis, tol)
-
-
-def _decide_product_basis(rho: DensityOperator, tol: Tolerances) -> ProductBasisResult:
     if (rho.dim_a, rho.dim_b) != (2, 2):
         raise ValueError(f"product-eigenbasis check needs a two-qubit state, got dims "
                          f"({rho.dim_a}, {rho.dim_b})")
@@ -246,7 +243,8 @@ def _correlated_labels(basis, tol: Tolerances) -> bool:
     return True
 
 
-def classify(rho: DensityOperator, tol: Tolerances = DEFAULT) -> Classification:
+@_decided
+def classify(rho: DensityOperator, /, tol: Tolerances = DEFAULT) -> Classification:
     """Coarse taxonomy: pure product/entangled, classically correlated, NPT/PPT.
 
     Purity is decided first; mixed two-qubit states are then split by the
@@ -257,13 +255,8 @@ def classify(rho: DensityOperator, tol: Tolerances = DEFAULT) -> Classification:
     partial-transpose evidence is still reported but only the Pure*/Mixed*
     categories are assigned.
 
-    The result is stored on ``rho`` under ``tol``'s value, like the verdict
-    of ``product_eigenbasis_check``.
+    Stored on ``rho`` per ``tol`` value.
     """
-    return _decided(rho, _classify, tol)
-
-
-def _classify(rho: DensityOperator, tol: Tolerances) -> Classification:
     purity = rho.purity()
     ppt_min = float(rho.partial_transpose_spectrum(tol)[0])
     npt = ppt_min < -abs(tol.positivity_floor)

@@ -7,16 +7,14 @@ against those on every call. A :class:`DensityOperator` is immutable, so it
 decomposes its matrix, and the B-side partial transpose of it, at most once,
 on first use, and keeps the read-only results. It also keeps its two reduced
 states, which store and certify their own decompositions the same way, and a
-table of what was decided under one tolerance value (see :func:`_decided`):
-its category from :func:`infospace.families.classify`, its product-eigenbasis
-verdict, its closed-form values from
-:func:`infospace.ensembles.assumed_exact_values` and, as a mixed component of
-a decomposition, its formation cost. An :class:`infospace.ensembles.Ensemble`
-keeps the same table for its local-orthogonality certificate, formation point
-and bounds. A :class:`PureState` keeps its two reduced states too, built from
-its amplitudes with no d x d projector.
+table of the decisions made about it, as does an
+:class:`infospace.ensembles.Ensemble`: every function decorated with
+:func:`_decided`, which states the storage rule, stores its result there. A
+:class:`PureState` keeps its two reduced states too, built from its
+amplitudes with no d x d projector.
 """
 
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -168,11 +166,9 @@ class DensityOperator:
     and of its B-side partial transpose are computed at most once each, on
     first use, and certified against the caller's tolerances on every call.
     The two reduced states are built at most once each and are operators of
-    their own, so their decompositions are stored and certified alike. The
-    category, the product-eigenbasis verdict, the closed-form values and a
-    mixed component's formation cost are stored per tolerance value (see
-    :func:`_decided`): a call with any other ``tol`` decides afresh, and a call
-    that raises stores nothing.
+    their own, so their decompositions are stored and certified alike. Its
+    category, product-eigenbasis verdict, closed-form values and, as a mixed
+    component, formation cost are stored decisions (see :func:`_decided`).
     """
 
     matrix: np.ndarray
@@ -231,7 +227,7 @@ class DensityOperator:
 
     @_stored
     def _decisions(self) -> dict:
-        """Results of :func:`_decided`, keyed by (deciding function, ``Tolerances`` value)."""
+        """The stored decisions; see :func:`_decided`."""
         return {}
 
     def eigensystem(self, tol: Tolerances = DEFAULT) -> tuple[np.ndarray, np.ndarray]:
@@ -254,21 +250,28 @@ class DensityOperator:
         return _certified(self._pt_decomposition, tol)[0]
 
 
-def _decided(obj, decide, tol: Tolerances):
-    """``decide(obj, tol)``, computed once per ``tol`` value and stored on ``obj``.
+def _decided(decide):
+    """Store what ``decide(obj, tol)`` returns on ``obj``, once per ``tol`` value.
 
-    ``obj`` is a :class:`DensityOperator` or an ``Ensemble``, each with a
-    ``_decisions`` table. Every decision made by a function of the object and
-    the tolerances alone shares the one table: a call with an equal ``tol``
-    returns the stored result itself, a call with any other ``tol`` decides
-    afresh, with every check, and a decision that raises stores nothing. Only
-    small immutable results go in.
+    The one storage rule of every stored decision. ``obj`` is a
+    :class:`DensityOperator` or an ``Ensemble``, each with a ``_decisions``
+    table, keyed by (decision, ``Tolerances`` value), where the decision is
+    the public function this returns. A call with an equal ``tol`` returns
+    the stored result itself, a call with any other ``tol`` decides afresh,
+    with every check, and a decision that raises stores nothing. Only small
+    immutable results go in. ``decide`` takes ``obj`` positional-only and
+    ``tol`` defaulting to ``DEFAULT``, like the function returned.
     """
-    key = (decide, tol)
-    result = obj._decisions.get(key)
-    if result is None:
-        result = obj._decisions[key] = decide(obj, tol)
-    return result
+
+    @functools.wraps(decide)
+    def decided(obj, /, tol: Tolerances = DEFAULT):
+        key = (decided, tol)
+        result = obj._decisions.get(key)
+        if result is None:
+            result = obj._decisions[key] = decide(obj, tol)
+        return result
+
+    return decided
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,7 +401,7 @@ def spectrum_probabilities(eigenvalues, tol: Tolerances = DEFAULT) -> np.ndarray
         raise NotPositive(-float(w.min()))
     w = np.clip(w, 0.0, 1.0)
     drift = abs(float(w.sum()) - 1.0)
-    if drift >= tol.probability_drift:
+    if not drift < tol.probability_drift:  # NaN fails it
         raise TraceNotOne(drift)
     if drift > tol.renormalize_drift:
         w = w / w.sum()

@@ -61,3 +61,32 @@ def test_worse_beyond_bound_compares_medians_with_bound_times_before(better, aft
     summary = bench_pairs.summarise(runs, [metric])["m"]
     assert summary["bound"] == 0.25
     assert summary["worse_beyond_bound"] is worse
+
+
+# before quartiles 95 and 105 (IQR 10, 10% of the median 100)
+@pytest.mark.parametrize(
+    "bound, after, unresolved",
+    [
+        (0.25, [96.0, 100.0, 104.0], False),  # spread within the bound
+        (0.05, [96.0, 100.0, 104.0], True),  # spread wider than the bound, runs overlap
+        (0.05, [121.0, 125.0, 130.0], False),  # every "after" run beats every "before" run
+        (0.05, [110.0, 125.0, 130.0], True),  # one "after" run ties the best "before" run
+    ],
+)
+def test_unresolved_when_the_before_spread_exceeds_the_bound(bound, after, unresolved):
+    before = [90.0, 100.0, 110.0]
+    for better, sign in (("higher", 1.0), ("lower", -1.0)):
+        metric = {"name": "m", "better": better, "bound": bound}
+        runs = _runs([sign * b for b in before], [sign * a for a in after], "m")
+        assert bench_pairs.summarise(runs, [metric])["m"]["unresolved"] is unresolved
+
+
+def test_side_health_counts_failed_operations_and_incorrect_runs():
+    runs = [
+        {"after": {"attempted": 90, "failed": 0, "correct": True},
+         "before": {"attempted": 100, "failed": 3, "correct": True}},
+        {"after": {"attempted": 110, "failed": 0, "correct": True},
+         "before": {"attempted": 100, "failed": 1, "correct": False}},
+    ]
+    assert bench_pairs.side_health(runs, "before") == {"failed_share": 0.02, "not_correct_runs": 1}
+    assert bench_pairs.side_health(runs, "after") == {"failed_share": 0.0, "not_correct_runs": 0}

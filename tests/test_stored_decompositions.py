@@ -46,13 +46,7 @@ from infospace import (
 )
 from infospace import ensembles
 from infospace.cli import main
-from infospace.ensembles import (
-    _assumed_exact_values,
-    _component_cost,
-    _formation_surplus_bound,
-    _mixed_component_cost,
-    _reversible_cost_bound,
-)
+from infospace.ensembles import _component_cost, _mixed_component_cost
 from infospace.tolerances import Tolerances
 from helpers import (
     BELL_MINUS,
@@ -406,7 +400,7 @@ class TestStoredDecisions:
         for _ in range(2):
             with pytest.raises(NotApplicable):
                 assumed_exact_values(rho)
-        assert all(decide is not _assumed_exact_values for decide, _ in rho._decisions)
+        assert all(decide is not assumed_exact_values for decide, _ in rho._decisions)
 
     def test_uncertified_bounds_are_not_stored(self):
         e = split_decomposition(0.25)
@@ -415,7 +409,7 @@ class TestStoredDecisions:
                 with pytest.raises(NotCertifiedOrthogonal):
                     call(e)
         decided = [decide for decide, _ in e._decisions]
-        assert decided == [ensembles._local_orthogonality]
+        assert decided == [local_orthogonality_check]
         assert local_orthogonality_check(e).certified is False
 
     @pytest.mark.parametrize("build", [_certified_pair, _pure_blocks_4x4], ids=["2x2", "4x4"])

@@ -14,8 +14,14 @@ the tree of ``src/``, the Python and numpy versions of each side, and per
 metric the median and quartiles of each side, the number of pairs in which
 "after" is better, the metric's ``bound`` from ``BENCHMARK.json`` and
 ``worse_beyond_bound``: whether the "after" median is worse than the
-"before" median by more than bound x the "before" median. Quartiles are
-``statistics.quantiles(n=4, method="inclusive")``. Standard library only.
+"before" median by more than bound x the "before" median, and
+``unresolved``: whether the "before" runs spread wider than the bound (their
+interquartile range exceeds bound x their median) while not every "after" run
+is better than every "before" run; such a metric is neither a gain nor
+unchanged. Per side it records ``failed_share``, the failed share of all
+operations attempted, and ``not_correct_runs``, the number of runs whose
+checks failed. Quartiles are ``statistics.quantiles(n=4, method="inclusive")``.
+Standard library only.
 """
 
 import argparse
@@ -65,6 +71,15 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def side_health(runs: list[dict], side: str) -> dict:
+    """Failed share of the operations one side attempted, and its runs not ``correct``."""
+    attempted = sum(r[side]["attempted"] for r in runs)
+    return {
+        "failed_share": sum(r[side]["failed"] for r in runs) / (attempted or 1),
+        "not_correct_runs": sum(not r[side]["correct"] for r in runs),
+    }
+
+
 def summarise(runs: list[dict], metrics: list[dict]) -> dict:
     """Per-metric summary; ``metrics`` are the ``end_to_end`` entries of ``BENCHMARK.json``."""
     out = {}
@@ -75,6 +90,7 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
         wins = sum((a > b) if better == "higher" else (a < b) for a, b in zip(after, before))
         b, a = spread(before), spread(after)
         worse_by = a["median"] - b["median"] if better == "lower" else b["median"] - a["median"]
+        all_after_better = min(after) > max(before) if better == "higher" else max(after) < min(before)
         out[name] = {
             "better": better,
             "before": b,
@@ -84,6 +100,7 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
             "median_gap_over_before_iqr": abs(a["median"] - b["median"]) / (b["q3"] - b["q1"] or 1e-300),
             "bound": bound,
             "worse_beyond_bound": worse_by > bound * abs(b["median"]),
+            "unresolved": b["q3"] - b["q1"] > bound * abs(b["median"]) and not all_after_better,
         }
     return out
 
@@ -120,7 +137,8 @@ def main(argv=None) -> int:
     doc["workloads"][args.workload] = {
         "command": f"python3 bench/run.py --workload {args.workload} --seed SEED "
                    f"--seconds {seconds:g} --trace 0",
-        "sides": {side: {"src_tree": src_tree(root), **runs[0][side]["versions"]}
+        "sides": {side: {"src_tree": src_tree(root), **runs[0][side]["versions"],
+                         **side_health(runs, side)}
                   for side, root in sides.items()},
         "summary": summarise(runs, benchmark["end_to_end"]),
         "runs": [{"seed": r["seed"], "first": r["first"],
