@@ -75,6 +75,10 @@ class TestEnsembleType:
         with pytest.raises(ValueError, match="sum"):
             Ensemble(((0.5, PureState(KET_00, 2, 2)), (0.4, PureState(KET_11, 2, 2))))
 
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError, match="sum"):
+            Ensemble(((np.nan, PureState(KET_00, 2, 2)), (1.0, PureState(KET_11, 2, 2))))
+
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             Ensemble(((-0.1, PureState(KET_00, 2, 2)), (1.1, PureState(KET_11, 2, 2))))

@@ -116,6 +116,10 @@ class TestPureSchmidt:
         with pytest.raises(ValueError, match="sum"):
             pure_schmidt([0.9, 0.9])
 
+    def test_rejects_nan_before_building_amplitudes(self):
+        with pytest.raises(ValueError, match="sum"):
+            pure_schmidt([np.nan, 1.0])
+
 
 class TestClassicallyCorrelated:
     def test_balanced(self):
@@ -126,6 +130,10 @@ class TestClassicallyCorrelated:
     def test_deterministic(self):
         rho = classically_correlated([1.0, 0.0])
         assert information_content(rho) == pytest.approx(2.0, abs=1e-12)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="sum"):
+            classically_correlated([np.nan, 1.0])
 
     def test_skewed(self):
         rho = classically_correlated([0.25, 0.75])

@@ -273,6 +273,11 @@ class TestSpectrumProbabilities:
         with pytest.raises(NotPositive):
             spectrum_probabilities([-2e-9, 1.0])
 
+    @pytest.mark.parametrize("w", [[np.nan, 1.0], [0.5, np.nan]])
+    def test_rejects_nan(self, w):
+        with pytest.raises(TraceNotOne):
+            spectrum_probabilities(w)
+
 
 class TestStateTypes:
     def test_pure_state_norm_check(self):

@@ -93,6 +93,11 @@ class TestShannonEntropy:
         with pytest.raises(ValueError):
             shannon_entropy([0.5, 0.6])
 
+    @pytest.mark.parametrize("p", [[math.nan, 1.0], [0.5, math.nan]])
+    def test_nan_rejected(self, p):
+        with pytest.raises(ValueError):
+            shannon_entropy(p)
+
 
 class TestVonNeumannEntropy:
     def test_pure_states_vanish(self):

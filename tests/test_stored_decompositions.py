@@ -6,7 +6,9 @@ check is weakened."""
 
 import dataclasses
 import functools
+import inspect
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +49,7 @@ from infospace import (
 from infospace import ensembles
 from infospace.cli import main
 from infospace.ensembles import _component_cost, _mixed_component_cost
+from infospace.linalg import _decided
 from infospace.tolerances import Tolerances
 from helpers import (
     BELL_MINUS,
@@ -344,9 +347,14 @@ def _mixed_4x4():
     return validate_density(random_density_matrix(np.random.default_rng(41), 16), 4, 4)
 
 
+def _mixed_component():
+    return validate_density(*_MIXED["classical-rotated"])
+
+
 # every stored decision: input builder (a new object with the same content per
-# call, and residuals above 1e-30) and the public call
+# call, and residuals above 1e-30) and the decorated call
 _DECISIONS = {
+    "_mixed_component_cost": (_mixed_component, _mixed_component_cost),
     "classify": (_mixed_two_qubit, classify),
     "classify-4x4": (_mixed_4x4, classify),
     "product_eigenbasis_check": (_mixed_two_qubit, product_eigenbasis_check),
@@ -359,6 +367,23 @@ _DECISIONS = {
 
 
 class TestStoredDecisions:
+    @pytest.mark.parametrize("name", sorted(_DECISIONS))
+    def test_keyed_by_the_decorated_function(self, name):
+        build, call = _DECISIONS[name]
+        obj = build()
+        call(obj)
+        assert (call, DEFAULT) in obj._decisions
+
+    @pytest.mark.parametrize("name", sorted(_DECISIONS))
+    def test_keeps_name_module_docstring_and_signature(self, name):
+        _, call = _DECISIONS[name]
+        assert call.__name__ == name.split("-")[0]
+        assert getattr(sys.modules[call.__module__], call.__name__) is call
+        assert call.__doc__ and call.__doc__ != _decided.__doc__
+        first, tol = inspect.signature(call).parameters.values()
+        assert first.kind is inspect.Parameter.POSITIONAL_ONLY
+        assert tol.name == "tol" and tol.default is DEFAULT
+
     @pytest.mark.parametrize("name", sorted(_DECISIONS))
     def test_equal_tolerances_return_the_stored_result(self, monkeypatch, name):
         build, call = _DECISIONS[name]
