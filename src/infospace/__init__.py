@@ -25,7 +25,6 @@ _EXPORTS = {
     "curves": (
         "ChiSlope",
         "ComplementarityCheck",
-        "CurveKind",
         "DegenerateFamilyError",
         "InformationCurve",
         "PhaseScanResult",

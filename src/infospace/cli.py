@@ -10,7 +10,6 @@ import sys
 from .closed_forms import bell_formation_points
 from .curves import (
     FORMATION_KINDS,
-    CurveKind,
     InformationCurve,
     PointKind,
     ProtocolPoint,
@@ -117,49 +116,37 @@ def cmd_entropy(args) -> int:
 
 def _curve_data(
     family: str, value, include_extraction: bool
-) -> tuple[list[ProtocolPoint], list[tuple[str, InformationCurve]]]:
-    points: list[ProtocolPoint] = []
-    envelopes: list[tuple[str, InformationCurve]] = []
+) -> list[tuple[str, InformationCurve]]:
+    """The family's named curves; their points, in this order, are the printed points."""
     if family == "bell-mixture":
-        pts = bell_formation_points(value)
-        points += pts
-        envelopes.append(("formation-envelope", build_lower_envelope(pts)))
         # no computable extraction rule for this mixed family
-    elif family == "pure-schmidt":
+        return [("formation-envelope", build_lower_envelope(bell_formation_points(value)))]
+    if family == "pure-schmidt":
         from .families import pure_schmidt
         from .measures import pure_state_entanglement
 
         psi = pure_schmidt(value)
-        n = psi.projector().n_qubits
+        # pure_schmidt embeds in d (x) d with d a power of two, so d * d = 2**n
+        n = float((psi.dim_a * psi.dim_b).bit_length() - 1)
         e = pure_state_entanglement(psi)
-        endpoints = formation_endpoints(float(n), 0.0, e, e)
-        points += endpoints
-        envelopes.append(("formation-envelope", build_lower_envelope(endpoints)))
+        curves = [("formation-envelope", build_lower_envelope(formation_endpoints(n, 0.0, e, e)))]
         if include_extraction:
-            line = pure_extraction_line(float(n), e)
-            points += line.points
-            envelopes.append(("extraction-envelope", line))
-    elif family == "classical":
+            curves.append(("extraction-envelope", pure_extraction_line(n, e)))
+        return curves
+    if family == "classical":
         from .families import classically_correlated
         from .measures import information_content
 
-        rho = classically_correlated(value)
-        info = information_content(rho)
+        info = information_content(classically_correlated(value))
         endpoints = formation_endpoints(info, 0.0, 0.0, 0.0)
-        points += endpoints
-        envelopes.append(("formation-envelope", build_lower_envelope(endpoints)))
+        curves = [("formation-envelope", build_lower_envelope(endpoints))]
         if include_extraction:
             zero = ProtocolPoint(0.0, info, PointKind.EXTRACTION_ZERO, "locc-extraction")
-            points.append(zero)
-            line = InformationCurve(
-                kind=CurveKind.EXTRACTION, points=(zero,), envelope=((0.0, info),)
-            )
-            envelopes.append(("extraction-envelope", line))
-    else:
-        raise ValueError(
-            "no formation-point rules for raw states; use the entropy or classify commands"
-        )
-    return points, envelopes
+            curves.append(("extraction-envelope", InformationCurve((zero,), ((0.0, info),))))
+        return curves
+    raise ValueError(
+        "no formation-point rules for raw states; use the entropy or classify commands"
+    )
 
 
 def _oriented(q: float, i: float, formation: bool, paper_axes: bool) -> tuple[float, float]:
@@ -168,12 +155,12 @@ def _oriented(q: float, i: float, formation: bool, paper_axes: bool) -> tuple[fl
     return q, i
 
 
-def _curve_svg(points, envelopes, paper_axes: bool, title: str) -> str:
+def _curve_svg(points, curves, paper_axes: bool, title: str) -> str:
     from .svgplot import RenderSpec, render_chart
 
     series = []
-    for name, curve in envelopes:
-        formation = curve.kind is CurveKind.FORMATION
+    for name, curve in curves:
+        formation = any(p.kind in FORMATION_KINDS for p in curve.points)
         series.append(
             (name, [_oriented(q, i, formation, paper_axes) for q, i in curve.envelope])
         )
@@ -187,7 +174,8 @@ def _curve_svg(points, envelopes, paper_axes: bool, title: str) -> str:
 
 def cmd_curve(args) -> int:
     family, value = _family_input(args)
-    points, envelopes = _curve_data(family, value, args.include_extraction)
+    curves = _curve_data(family, value, args.include_extraction)
+    points = [p for _, curve in curves for p in curve.points]
     if args.format == "json":
         payload = {
             "points": [
@@ -196,15 +184,15 @@ def cmd_curve(args) -> int:
             ],
             "envelopes": {
                 name: [[fnum(q), fnum(i)] for q, i in curve.envelope]
-                for name, curve in envelopes
+                for name, curve in curves
             },
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        _emit(points_csv(points, envelopes), args.out)
+        _emit(points_csv(points, curves), args.out)
     if args.svg:
         title = f"information-space curves ({family})"
-        _emit(_curve_svg(points, envelopes, args.paper_axes, title), args.svg)
+        _emit(_curve_svg(points, curves, args.paper_axes, title), args.svg)
     return EXIT_OK
 
 
@@ -223,8 +211,8 @@ def cmd_phase_scan(args) -> int:
     )
     _emit(scan_csv(result), args.out)
     if args.svg:
-        envelopes = [(f"p={fmt(p)}", build_lower_envelope(bell_formation_points(p))) for p in grid]
-        svg = _curve_svg([], envelopes, args.paper_axes, "formation curves across the family")
+        curves = [(f"p={fmt(p)}", build_lower_envelope(bell_formation_points(p))) for p in grid]
+        svg = _curve_svg([], curves, args.paper_axes, "formation curves across the family")
         _emit(svg, args.svg)
     return EXIT_OK
 
@@ -318,7 +306,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_INPUT
     except RuntimeError as exc:

@@ -37,11 +37,6 @@ FORMATION_KINDS = frozenset({EC, ER, INTERMEDIATE})
 _VERTEX_SNAP = 1e-9  # distance below which a probe counts as sitting on a vertex
 
 
-class CurveKind(enum.Enum):
-    FORMATION = "Formation"
-    EXTRACTION = "Extraction"
-
-
 class DegenerateFamilyError(ValueError):
     """A family parameter where the curve collapses to a point or line."""
 
@@ -79,10 +74,10 @@ class ProtocolPoint:
 class InformationCurve:
     """Protocol points plus their piecewise-linear lower envelope.
 
-    ``envelope`` is an ordered (q, i) vertex list, ascending in q.
+    ``envelope`` is an ordered (q, i) vertex list, ascending in q. A curve is
+    a formation curve exactly when one of its points has a formation kind.
     """
 
-    kind: CurveKind
     points: tuple[ProtocolPoint, ...]
     envelope: tuple[tuple[float, float], ...]
 
@@ -123,10 +118,8 @@ def chord_mix(p1: ProtocolPoint, p2: ProtocolPoint, lam: float) -> ProtocolPoint
 _BY_Q_THEN_I = operator.attrgetter("q", "i")
 
 
-def _formation_hull(
-    points: Sequence[ProtocolPoint],
-) -> tuple[list[ProtocolPoint], list[tuple[float, float]]]:
-    """The points sorted by (q, i), and their lower convex hull over q.
+def _formation_hull(points: Sequence[ProtocolPoint]) -> list[tuple[float, float]]:
+    """The lower convex hull over q of the points, as ascending vertices.
 
     The one hull routine: :func:`build_lower_envelope` wraps it in a curve,
     and :func:`phase_scan` reads the vertex list directly, so a steepest-probe
@@ -137,9 +130,8 @@ def _formation_hull(
     kinds = [p.kind for p in points]
     if EC not in kinds or ER not in kinds:
         raise ValueError("formation envelopes need both extreme points present")
-    ordered = sorted(points, key=_BY_Q_THEN_I)
     hull: list[tuple[float, float]] = []
-    for p in ordered:
+    for p in sorted(points, key=_BY_Q_THEN_I):
         q, i = p.q, p.i
         # one vertex per q: only the lowest point can lie on a function graph
         if hull and hull[-1][0] == q:
@@ -151,7 +143,7 @@ def _formation_hull(
                 break
             hull.pop()
         hull.append((q, i))
-    return ordered, hull
+    return hull
 
 
 def build_lower_envelope(points: Sequence[ProtocolPoint]) -> InformationCurve:
@@ -160,11 +152,11 @@ def build_lower_envelope(points: Sequence[ProtocolPoint]) -> InformationCurve:
     Chords between achievable points are achievable, so this is the boundary
     of the achievable region. Points exactly on a chord stay as vertices,
     which makes re-running the construction on its own output a no-op. Both
-    extreme formation points must be among the inputs. The hull itself is
-    :func:`_formation_hull`, shared with :func:`phase_scan`.
+    extreme formation points must be among the inputs, so the curve is a
+    formation curve; its points keep the order they were given in. The hull
+    itself is :func:`_formation_hull`, shared with :func:`phase_scan`.
     """
-    ordered, hull = _formation_hull(points)
-    return InformationCurve(kind=CurveKind.FORMATION, points=tuple(ordered), envelope=tuple(hull))
+    return InformationCurve(tuple(points), tuple(_formation_hull(points)))
 
 
 def curve_value(curve: InformationCurve, q: float) -> float:
@@ -254,7 +246,7 @@ def pure_extraction_line(n: float, e: float) -> InformationCurve:
     for p in pts:
         if not vertices or vertices[-1] != (p.q, p.i):
             vertices.append((p.q, p.i))
-    return InformationCurve(kind=CurveKind.EXTRACTION, points=pts, envelope=tuple(vertices))
+    return InformationCurve(pts, tuple(vertices))
 
 
 @dataclass(frozen=True)
@@ -320,7 +312,7 @@ def phase_scan(
         except DegenerateFamilyError:
             samples.append(ScanSample(p, 0.0, 0.0, math.inf, True))
             continue
-        ordered, env = _formation_hull(pts)
+        env = _formation_hull(pts)
         if len(env) < 2:
             samples.append(ScanSample(p, env[0][0], 0.0, math.inf, True))
             continue
@@ -337,7 +329,7 @@ def phase_scan(
                 q1, i1 = q2, i2
         else:
             q_at = float(probe)
-            curve = InformationCurve(CurveKind.FORMATION, tuple(ordered), tuple(env))
+            curve = InformationCurve(tuple(pts), tuple(env))
             # chi reads side only on a vertex; the first vertex has only a right segment
             side = "right" if abs(q_at - env[0][0]) <= _VERTEX_SNAP else "left"
             slope = chi(curve, q_at, side=side).slope

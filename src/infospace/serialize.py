@@ -46,9 +46,11 @@ def state_from_dict(d: dict, tol: Tolerances = DEFAULT) -> DensityOperator:
     """Parse and fully validate a state-file document."""
     import numpy as np
 
-    from .linalg import _document_dims, _document_numbers, validate_density
+    from .linalg import _document_dims, _document_numbers, _require_dim, validate_density
 
     dim_a, dim_b = _document_dims(d, "state")
+    # before the arrays, as in ensemble_from_dict: a document past the cap builds no matrix
+    _require_dim(dim_a * dim_b, tol)
     try:
         re = np.asarray(d["matrix_re"], dtype=float)
         im = np.asarray(d["matrix_im"], dtype=float)

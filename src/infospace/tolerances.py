@@ -5,10 +5,11 @@ from dataclasses import dataclass, fields
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Single knob for every numerical threshold used by the toolkit.
+    """Single knob for the numerical thresholds used by the toolkit.
 
     Property tests tweak one instance instead of hunting for magic numbers.
-    Instances key the stored decisions, so the hash of the field values is
+    A few thresholds still live outside it; the README lists them where it
+    describes the tolerances. Instances key the stored decisions, so the hash of the field values is
     computed once, at construction.
     """
 

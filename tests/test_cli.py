@@ -15,6 +15,7 @@ from infospace import (
     dump_state,
     ensemble_to_dict,
     load_state,
+    pure_schmidt,
     state_to_dict,
     validate_density,
 )
@@ -184,6 +185,18 @@ class TestCurve:
         assert code == 1
         assert "no formation-point rules" in err
 
+    def test_points_print_in_the_family_order(self, capsys):
+        # at p = 1e-17 all three q round to 1: a (q, i) sort would put the reversible point first
+        code, out, _ = run(["curve", "--family", "bell-mixture", "--p", "1e-17"], capsys)
+        assert code == 0
+        assert [r[0] for r in csv_rows(out)][:3] == [
+            "FormationEndpointEc", "FormationIntermediate", "FormationEndpointEr"
+        ]
+
+    def test_unparsable_coefficients_exit_one(self, capsys):
+        args = ["curve", "--family", "pure-schmidt", "--coeffs", "0.6,x"]
+        assert run(args, capsys) == (1, "", "expected comma-separated numbers, got '0.6,x'\n")
+
     def test_degenerate_parameter_exits_one(self, capsys):
         code, _, err = run(["curve", "--family", "bell-mixture", "--p", "0"], capsys)
         assert code == 1
@@ -290,6 +303,12 @@ class TestSvgBytes:
         "args, golden",
         [
             (["curve", "--family", "bell-mixture", "--p", "0.25"], "curve_bell_quarter.svg"),
+            # formation drawn in the lower-left quadrant, extraction as computed
+            (
+                ["curve", "--family", "pure-schmidt", "--coeffs", "0.6,0.8"],
+                "curve_pure_schmidt.svg",
+            ),
+            (["curve", "--family", "classical", "--probs", "0.3,0.7"], "curve_classical.svg"),
             (
                 ["phase-scan", "--p-min", "0.1", "--p-max", "0.4", "--steps", "5"],
                 "phase_scan_five.svg",
@@ -327,6 +346,15 @@ class TestClassify:
     def test_pure_product(self, capsys):
         code, out, _ = run(["classify", "--family", "pure-schmidt", "--coeffs", "1"], capsys)
         assert json.loads(out)["category"] == "PureProduct"
+
+    def test_dump_state_reloads_to_the_classified_matrix(self, capsys, tmp_path):
+        path = tmp_path / "classified.json"
+        args = ["classify", "--family", "pure-schmidt", "--coeffs", "0.6,0.8"]
+        code, _, _ = run([*args, "--dump-state", str(path)], capsys)
+        assert code == 0
+        back = load_state(str(path))
+        assert (back.dim_a, back.dim_b) == (2, 2)
+        assert np.array_equal(back.matrix, pure_schmidt([0.6, 0.8]).projector().matrix)
 
     def test_global_aabb_state_has_no_product_basis(self, capsys, tmp_path):
         # doubly degenerate spectrum in a Haar-random eigenbasis: decided, not searched
@@ -447,6 +475,30 @@ class TestDocumentNumbers:
         assert code == 0 and json.loads(out)["s_total"] == 0
 
 
+class TestMalformedDocuments:
+    COMMANDS = TestDocumentDims.COMMANDS
+
+    @pytest.mark.parametrize("kind", ["state", "ensemble"])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [],
+            {},
+            "x",
+            {"dims": [2, 2]},
+            {"dims": {"a": 2, "b": 2}},
+            {"dims": [2, 2], "components": {}, "matrix_re": {}, "matrix_im": {}},
+            {"dims": [2, 2], "components": [{"weight": 1, "type": "pure", "data": {}}]},
+        ],
+        ids=["list", "empty", "string", "dims-only", "dict-dims", "dict-parts", "dict-data"],
+    )
+    def test_exit_one_as_input_errors(self, capsys, tmp_path, kind, doc):
+        # each one is refused by a check that raises ValueError, none by a stray KeyError
+        code, out, err = run([*self.COMMANDS[kind], _write(tmp_path, "doc.json", doc)], capsys)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+
+
 class TestFamilySelection:
     @pytest.mark.parametrize("command", ["entropy", "curve", "classify"])
     @pytest.mark.parametrize(
@@ -501,6 +553,14 @@ class TestDimensionCap:
         # a 256 x 256 complex matrix alone is 1 MiB
         assert peak < 200_000
 
+    @pytest.mark.parametrize("command", ["entropy", "classify"])
+    def test_state_file_over_the_cap_refused_before_its_matrix(self, capsys, tmp_path, command):
+        # the cap is checked on the dims, before the 1 x 1 matrix is read
+        doc = {"dims": [16, 16], "matrix_re": [[1]], "matrix_im": [[0]]}
+        assert run([command, "--state", _write(tmp_path, "big.json", doc)], capsys) == (
+            1, "", self.CAP
+        )
+
     @pytest.mark.parametrize(
         "family, flag, values",
         [
@@ -532,6 +592,15 @@ class TestCliContract:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["info"] == 2.0
+
+    def test_internal_key_error_propagates(self, monkeypatch):
+        # input errors surface as ValueError or OSError; a KeyError is a bug, not exit 1
+        def broken(rho):
+            raise KeyError("s_total")
+
+        monkeypatch.setattr("infospace.measures.measure_report", broken)
+        with pytest.raises(KeyError, match="s_total"):
+            main(["entropy", "--family", "bell-mixture", "--p", "0.25"])
 
     def test_unknown_flag_exits_one(self):
         with pytest.raises(SystemExit) as err:

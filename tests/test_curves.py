@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from infospace import (
-    CurveKind,
     DegenerateFamilyError,
     InformationCurve,
     PointKind,
@@ -22,6 +21,7 @@ from infospace import (
     phase_scan,
     pure_extraction_line,
 )
+from infospace.curves import FORMATION_KINDS
 
 EC_QUARTER = 0.3545789026652699
 I_QUARTER = 1.1887218755408671  # 2 - H(1/4)
@@ -130,6 +130,7 @@ class TestLowerEnvelope:
         pts = formation_endpoints(I_QUARTER, 2.0 - I_QUARTER, EC_QUARTER, 1.0)
         curve = build_lower_envelope(pts)
         assert curve.envelope == ((EC_QUARTER, 2.0), (1.0, I_QUARTER))
+        assert any(p.kind in FORMATION_KINDS for p in curve.points)
 
     def test_intermediate_vertex_retained(self):
         curve = bell_curve(0.25)
@@ -165,6 +166,14 @@ class TestLowerEnvelope:
             [ProtocolPoint(q, i, k) for (q, i), k in zip(curve.envelope, kinds)]
         )
         assert again.envelope == curve.envelope
+
+    def test_points_keep_the_given_order(self):
+        # at p = 1e-17 all three q round to 1 and the reversible point has the lowest i
+        pts = bell_formation_points(1e-17)
+        assert sorted(pts, key=lambda p: (p.q, p.i)) != pts
+        curve = build_lower_envelope(pts)
+        assert curve.points == tuple(pts)
+        assert build_lower_envelope(curve.points) == curve
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError, match="at least two"):
@@ -228,6 +237,7 @@ class TestPureExtractionLine:
             PointKind.EXTRACTION_ZERO,
             PointKind.EXTRACTION_DISTILL,
         ]
+        assert not any(p.kind in FORMATION_KINDS for p in line.points)
 
     def test_product_state_degenerates(self):
         line = pure_extraction_line(2.0, 0.0)
@@ -313,7 +323,6 @@ class TestChi:
 
     def test_degenerate_curve(self):
         point = InformationCurve(
-            CurveKind.FORMATION,
             (ProtocolPoint(1.0, 2.0, PointKind.FORMATION_ENDPOINT_EC),),
             ((1.0, 2.0),),
         )

@@ -359,6 +359,32 @@ class TestFormationPoint:
             assert cost.s == pytest.approx(want.s, abs=1e-12)
             assert cost.resettable is want.resettable
 
+    @pytest.mark.parametrize(
+        "amplitudes, dim",
+        [
+            (BELL_MINUS, 2),
+            (KET_00, 2),
+            (0.6 * KET_00 + 0.8 * KET_11, 2),
+            (np.kron(random_state_vector(np.random.default_rng(7), 4),
+                     random_state_vector(np.random.default_rng(8), 4)), 4),
+        ],
+        ids=["phi-minus", "ket-00", "schmidt-0.6-0.8", "product-4x4"],
+    )
+    def test_pure_operator_costs_what_its_vector_costs(self, amplitudes, dim):
+        # a rank-one DensityOperator takes the pure branch of the mixed-component rule
+        psi = PureState(amplitudes, dim, dim)
+        want = _component_cost(psi, DEFAULT)
+        got = _component_cost(psi.projector(), DEFAULT)
+        assert got.ec == pytest.approx(want.ec, abs=1e-12)
+        assert got.s == 0.0 and got.resettable
+
+    def test_projector_components_match_pure_ones(self):
+        pure = [(0.5, PureState(BELL_MINUS, 2, 2)), (0.5, PureState(KET_00, 2, 2))]
+        projected = Ensemble(tuple((w, psi.projector()) for w, psi in pure))
+        point = formation_point(projected)
+        assert point == formation_point(Ensemble(tuple(pure)))
+        assert (point.q, point.i) == (0.5, 2.0)
+
     @pytest.mark.parametrize("p", [0.1, 0.25, 0.4])
     def test_locally_rotated_split_decomposition(self, p):
         rng = np.random.default_rng(int(100 * p))

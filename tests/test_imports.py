@@ -13,7 +13,7 @@ import infospace
 # the public namespace of `import infospace` before it became lazy, less the deleted FamilySpec
 PUBLIC_NAMES = (
     "AssumedExactValues", "ChiSlope", "Classification", "ComplementarityCheck", "ComponentCost",
-    "ComponentCostUnknown", "CurveKind", "DEFAULT", "DegenerateFamilyError", "DensityOperator",
+    "ComponentCostUnknown", "DEFAULT", "DegenerateFamilyError", "DensityOperator",
     "EigenConvergenceError", "Ensemble", "InformationCurve", "LocalOrthogonality",
     "MeasureReport", "NotApplicable", "NotCertifiedOrthogonal", "NotHermitian", "NotPositive",
     "PhaseScanResult", "PointKind", "ProductBasis", "ProductBasisResult", "ProtocolPoint",
@@ -157,6 +157,9 @@ class TestLazyNamespace:
         ):
             assert not hasattr(importlib.import_module(f"infospace.{module}"), name)
         assert not hasattr(infospace, "FamilySpec")
+        # a curve's role is read off its points' kinds
+        assert not hasattr(infospace, "CurveKind")
+        assert not hasattr(importlib.import_module("infospace.curves"), "CurveKind")
         assert infospace.cli is sys.modules["infospace.cli"] and "cli" in infospace.__all__
 
     def test_star_import_binds_exactly_all(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,22 @@ class TestStateFile:
         doc["matrix_re"][0][0] = 0.4  # breaks the trace
         with pytest.raises(ValueError, match="TraceNotOne"):
             state_from_dict(doc)
+
+    def test_dims_over_the_cap_refused_before_the_arrays(self):
+        zeros = [[0] * 256 for _ in range(256)]
+        doc = {"dims": [16, 16], "matrix_re": zeros, "matrix_im": zeros}
+        cap = "dimension 256 exceeds the configured cap of 64"
+        with pytest.raises(ValueError, match=cap):
+            state_from_dict(doc)  # imports and first-call caches stay out of the traced run
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=cap):
+                state_from_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a 256 x 256 float array alone is 512 KiB
+        assert peak < 200_000
 
 
 class TestCsv:
