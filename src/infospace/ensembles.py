@@ -16,13 +16,12 @@ averaged state is not stored: it is built afresh by the first call of each
 function that needs it.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import PointKind, ProtocolPoint
-from .families import ProductBasis, product_eigenbasis_check
+from .families import ProductBasis, _correlations, product_eigenbasis_check
 from .linalg import (
     DensityOperator,
     PureState,
@@ -37,18 +36,6 @@ from .linalg import (
 )
 from .measures import eof_2q, local_entropies, pure_state_entanglement, von_neumann_entropy
 from .tolerances import DEFAULT, Tolerances
-
-# Bell basis columns: (|00>+|11>)/sqrt2, (|00>-|11>)/sqrt2, (|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2
-_BELL_BASIS = np.array(
-    [
-        [1.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 1.0],
-        [0.0, 0.0, 1.0, -1.0],
-        [1.0, -1.0, 0.0, 0.0],
-    ],
-    dtype=complex,
-) / math.sqrt(2.0)
-
 
 class ComponentCostUnknown(ValueError):
     """No rule yields the formation cost of a mixture component."""
@@ -177,9 +164,10 @@ def _mixed_component_cost(state: DensityOperator, /, tol: Tolerances = DEFAULT) 
     reclaimable. On two qubits with a product eigenbasis, that basis is the
     decomposition: eigh's basis inside a degenerate eigenspace is arbitrary,
     and would make the verdict change under local unitaries. A two-qubit
-    Bell-diagonal component falls back to the formation-entanglement oracle,
-    but its internal instruction set cannot be reclaimed. Anything else is a
-    hard error: no point gets emitted without a protocol behind it.
+    component that is Bell-diagonal up to local unitaries falls back to the
+    formation-entanglement oracle, but its internal instruction set cannot be
+    reclaimed. Anything else is a hard error: no point gets emitted without a
+    protocol behind it.
     """
     purity = state.purity()
     if purity >= 1.0 - tol.purity:
@@ -210,8 +198,13 @@ def _mixed_component_cost(state: DensityOperator, /, tol: Tolerances = DEFAULT) 
 
 
 def _is_bell_diagonal(rho: DensityOperator, tol: Tolerances) -> bool:
-    m = _BELL_BASIS.conj().T @ rho.matrix @ _BELL_BASIS
-    return float(np.max(np.abs(m - np.diag(np.diagonal(m))))) <= tol.overlap
+    """Bell-diagonal up to local unitaries: both local Bloch vectors vanish.
+
+    Then C = 1 (+) T, and local rotations diagonalize T (Horodecki and
+    Horodecki, PRA 54, 1838 (1996)).
+    """
+    c = _correlations(rho)
+    return float(np.max(np.abs(np.concatenate((c[1:, 0], c[0, 1:]))))) <= tol.overlap
 
 
 @_decided

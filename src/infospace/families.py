@@ -1,6 +1,5 @@
 """Parameterized state generators, coarse classification and the product-eigenbasis decision."""
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -116,7 +115,8 @@ class ProductBasisResult:
     """Verdict plus, for PRODUCT, the product eigenbasis itself.
 
     ``basis`` reads as (eigenvalue, a_factor, b_factor) triples covering the
-    whole space, eigenspace by eigenspace. They are kept compactly: the k
+    whole space, as {ab, ab', a'c, a'c'} or its mirror image {ab, a'b, cb',
+    c'b'}. They are kept compactly: the k
     eigenvalues, and one read-only (k, 2, 2) array whose row k holds a_k and
     b_k.
     """
@@ -132,60 +132,75 @@ class ProductBasisResult:
         return tuple((val, f[0], f[1]) for val, f in zip(self.values, self.factors))
 
 
-def _schmidt_factors(vec: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Second Schmidt coefficient and the dominant product factors of a two-qubit vector."""
-    # the singular value itself, not sqrt(1 - s0^2), which would lift ~1e-16
-    # of roundoff to ~1e-8 and fail the tol.schmidt test on product vectors
-    u, s, vh = np.linalg.svd(vec.reshape(2, 2))
-    return float(s[1]), u[:, 0], vh[0]
-
-
 def _qubit_complement(x: np.ndarray) -> np.ndarray:
     """The unit qubit vector orthogonal to ``x``."""
     return np.array([-x[1].conjugate(), x[0].conjugate()])
 
 
-def _product_pair(v1: np.ndarray, v2: np.ndarray, tol: Tolerances):
-    """Orthonormal product basis of span{v1, v2} in C^2 (x) C^2, or None.
+def _bloch_ket(n: np.ndarray) -> np.ndarray:
+    """The unit qubit ket whose Bloch vector points along ``n``; |0> when ``n`` is 0."""
+    r = float(np.linalg.norm(n))
+    if r == 0.0:
+        return np.array([1.0, 0.0], dtype=complex)
+    x, y, z = n / r
+    # (1 + z, x + iy) and (x - iy, 1 - z) are the same ray; take the one that does not cancel
+    ket = np.array([1.0 + z, x + 1j * y]) if z >= 0.0 else np.array([x - 1j * y, 1.0 - z])
+    return ket / np.linalg.norm(ket)
 
-    The product vectors x v1 + y v2 are the roots [x:y] of the binary
-    quadratic det(x M1 + y M2) = qa x^2 + qb xy + qc y^2, with M the vector
-    reshaped to 2x2. A form that vanishes identically means the span is
-    a (x) C^2 or C^2 (x) b, where every vector, v1 and v2 included, is
-    product. Otherwise the span holds at most two product directions, and it
-    has a product basis exactly when they are orthogonal.
+
+_PAULIS = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+# row 4i + j is (sigma_i (x) sigma_j)^T flattened: row . vec(rho) = tr(rho sigma_i (x) sigma_j)
+_PAULI_PRODUCTS = np.array(
+    [np.kron(si, sj).T.ravel() for si in _PAULIS for sj in _PAULIS], dtype=complex
+)
+
+
+def _correlations(rho: DensityOperator) -> np.ndarray:
+    """The real 4x4 Pauli correlation matrix C_ij = tr(rho sigma_i (x) sigma_j), sigma_0 = I.
+
+    Row 0 past its first entry is B's Bloch vector, column 0 is A's, and
+    rho = sum_ij C_ij sigma_i (x) sigma_j / 4.
     """
-    m1, m2 = v1.reshape(2, 2), v2.reshape(2, 2)
-    qa = m1[0, 0] * m1[1, 1] - m1[0, 1] * m1[1, 0]
-    qc = m2[0, 0] * m2[1, 1] - m2[0, 1] * m2[1, 0]
-    qb = m1[0, 0] * m2[1, 1] + m2[0, 0] * m1[1, 1] - m1[0, 1] * m2[1, 0] - m2[0, 1] * m1[1, 0]
-    # |det M| = s1 s2 for a unit vector: the coefficients live on the Schmidt scale
-    if max(abs(qa), abs(qb), abs(qc)) <= tol.schmidt:
-        return [_schmidt_factors(v)[1:] for v in (v1, v2)]
-    # homogeneous roots [t : qa] and [qc : t] with t^2 + qb t + qa qc = 0;
-    # the sign keeps qb and the discriminant root from cancelling
-    d = cmath.sqrt(qb * qb - 4.0 * qa * qc)
-    if (qb.conjugate() * d).real < 0.0:
-        d = -d
-    t = -(qb + d) / 2.0
-    r1, r2 = t * v1 + qa * v2, qc * v1 + t * v2
-    n1, n2 = float(np.linalg.norm(r1)), float(np.linalg.norm(r2))
-    # a double root leaves one product direction (the other root vector is 0)
-    if n1 * n2 == 0.0 or abs(complex(np.vdot(r1, r2))) > tol.overlap * n1 * n2:
+    return (_PAULI_PRODUCTS @ rho.matrix.ravel()).real.reshape(4, 4)
+
+
+def _classical_side_basis(c: np.ndarray, bound: float):
+    """Product eigenbasis when the side indexing the rows of ``c`` is classical, else None.
+
+    The triples are (value, x, y) with x on that side. The side is classical,
+    rho = sum_k |x_k><x_k| (x) rho_k with {x_0, x_1} orthonormal, exactly when
+    the 3x4 block c[1:] has rank one: then c[1:] = n m^T with n the Bloch axis
+    of x_0. The other side's block <x|rho|x> is (row_0 I + row . sigma)/4 with
+    row = c[0] +- n . c[1:], so its eigenvalues are (row_0 +- |row|)/4 on the
+    Bloch kets of +-row.
+    """
+    u, s, _ = np.linalg.svd(c[1:])
+    if s[1] > bound:
         return None
-    return [_schmidt_factors(r / n)[1:] for r, n in ((r1, n1), (r2, n2))]
+    axis = u[:, 0] if s[0] > bound else np.array([0.0, 0.0, 1.0])
+    x = _bloch_ket(axis)
+    basis = []
+    for xk, sign in ((x, 1.0), (_qubit_complement(x), -1.0)):
+        row = c[0] + sign * (axis @ c[1:])
+        r0, r = float(row[0]), float(np.linalg.norm(row[1:]))
+        y = _bloch_ket(row[1:])
+        basis += [((r0 + r) / 4.0, xk, y), ((r0 - r) / 4.0, xk, _qubit_complement(y))]
+    return basis
 
 
 @_decided
 def product_eigenbasis_check(rho: DensityOperator, /, tol: Tolerances = DEFAULT) -> ProductBasisResult:
     """Decide whether a two-qubit state has an orthonormal product eigenbasis.
 
-    The decision is exact, eigenspace by eigenspace (2 (x) 2 has no
-    unextendible product bases): a 1-dim eigenspace by the Schmidt rank of
-    its vector, a 2-dim one by the roots of a binary quadratic (see
-    ``_product_pair``), a 3-dim one by its 1-dim complement, and the 4-dim
-    space always has the computational basis. The verdict is PRODUCT, with
-    the basis (read-only factors), or NO.
+    Every orthonormal product basis of C^2 (x) C^2 is {ab, ab', a'c, a'c'}
+    up to swapping the sides, so rho has one exactly when it is classical on
+    one side: block-diagonal in some basis {a, a'} of it. That is a rank test
+    on the Pauli correlation matrix (the zero-discord criterion of Dakic,
+    Vedral and Brukner, PRL 105, 190502 (2010)): side A qualifies when the
+    second singular value of C[1:, :] is at most 2 tol.schmidt, side B reads
+    C transposed. On a pure state that singular value is 2 c_1 c_2, so the
+    verdict agrees with the Schmidt rule of ``classify``. The verdict is
+    PRODUCT, with the basis (read-only factors), or NO.
 
     Stored on ``rho`` per ``tol`` value (see :func:`infospace.linalg._decided`),
     so ``classify``, ``assumed_exact_values`` and repeated calls share one
@@ -194,35 +209,18 @@ def product_eigenbasis_check(rho: DensityOperator, /, tol: Tolerances = DEFAULT)
     if (rho.dim_a, rho.dim_b) != (2, 2):
         raise ValueError(f"product-eigenbasis check needs a two-qubit state, got dims "
                          f"({rho.dim_a}, {rho.dim_b})")
-    w, v = rho.eigensystem(tol)
-    groups: list[list[int]] = [[0]]
-    for k in range(1, len(w)):
-        if w[k] - w[groups[-1][-1]] <= tol.eigen_residual:
-            groups[-1].append(k)
-        else:
-            groups.append([k])
-    basis: list[tuple[float, np.ndarray, np.ndarray]] = []
-    for group in groups:
-        if len(group) == 1:
-            c2, a, b = _schmidt_factors(v[:, group[0]])
-            if c2 > tol.schmidt:
-                return ProductBasisResult(ProductBasis.NO)
-            basis.append((float(w[group[0]]), a, b))
-    for group in groups:
-        mean_val = float(np.mean(w[group]))
-        if len(group) == 2:
-            pair = _product_pair(v[:, group[0]], v[:, group[1]], tol)
-            if pair is None:
-                return ProductBasisResult(ProductBasis.NO)
-            basis.extend((mean_val, a, b) for a, b in pair)
-        elif len(group) == 3:
-            _, a, b = basis[0]  # the 1-dim complement, product by now
-            a_perp, b_perp = _qubit_complement(a), _qubit_complement(b)
-            basis.extend((mean_val, x, y) for x, y in ((a_perp, b), (a, b_perp), (a_perp, b_perp)))
-        elif len(group) == 4:
-            e = np.eye(2, dtype=complex)
-            basis.extend((mean_val, e[i], e[j]) for i in range(2) for j in range(2))
-    # one new array: a stored factor must not keep its SVD's or np.eye's whole matrix alive
+    rho.eigensystem(tol)  # stored; certifies the state under this tol, or raises
+    c = _correlations(rho)
+    bound = 2.0 * tol.schmidt
+    # T = C[1:, 1:] is a block of both sides' matrices: its singular values bound theirs from below
+    if np.linalg.svd(c[1:, 1:], compute_uv=False)[1] > bound:
+        return ProductBasisResult(ProductBasis.NO)
+    basis = _classical_side_basis(c, bound)
+    if basis is None:
+        basis = _classical_side_basis(c.T, bound)
+        if basis is None:
+            return ProductBasisResult(ProductBasis.NO)
+        basis = [(val, a, b) for val, b, a in basis]
     factors = _read_only(np.array([(a, b) for _, a, b in basis], dtype=complex))
     return ProductBasisResult(ProductBasis.PRODUCT, tuple(val for val, _, _ in basis), factors)
 
@@ -263,8 +261,8 @@ def classify(rho: DensityOperator, /, tol: Tolerances = DEFAULT) -> Classificati
     peb = "not-checked"
     if purity >= 1.0 - tol.purity:
         _, v = rho.eigensystem(tol)
-        # the product rule product_eigenbasis_check applies to eigenvectors; the
-        # entropy, about c^2 log(1/c^2), would read c = 1e-6 as product
+        # the Schmidt rule, which product_eigenbasis_check reads as 2 c1 c2 <= 2 tol.schmidt;
+        # the entropy, about c^2 log(1/c^2), would read c = 1e-6 as product
         coeffs = schmidt_coefficients(PureState(v[:, -1], rho.dim_a, rho.dim_b))
         entangled = coeffs.size > 1 and coeffs[1] > tol.schmidt
         category = StateCategory.PURE_ENTANGLED if entangled else StateCategory.PURE_PRODUCT

@@ -38,6 +38,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     t = first
     while t <= hi + step * 1e-9:
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
+        if t + step == t:  # a step below the float spacing at t would never advance
+            break
         t += step
     return ticks
 

@@ -16,10 +16,13 @@ class Tolerances:
     hermiticity: float = 1e-10        # max entrywise |M - M^dag|
     trace: float = 1e-10              # |tr(rho) - 1|; also | ||psi||^2 - 1 |, the trace of |psi><psi|
     positivity_floor: float = -1e-9   # smallest admissible eigenvalue
-    eigen_residual: float = 1e-9      # |M v - lambda v| per eigenpair; also degeneracy gap
+    eigen_residual: float = 1e-9      # |M v - lambda v| per eigenpair (no check groups eigenvalues)
     support_cutoff: float = 1e-10     # eigenvalue > cutoff counts toward the support
-    overlap: float = 1e-9             # support-projector overlap certification
-    schmidt: float = 1e-9             # second Schmidt coefficient of a product vector
+    overlap: float = 1e-9             # support-projector overlap certification; also the local
+                                      # Bloch vectors of a Bell-diagonal component
+    schmidt: float = 1e-9             # second Schmidt coefficient of a product vector; twice
+                                      # it bounds a two-qubit correlation block's second
+                                      # singular value
     zero_eigenvalue: float = 1e-12    # eigenvalues at or below this are 0 inside entropies
     probability_drift: float = 1e-9   # worst admissible normalization drift
     renormalize_drift: float = 1e-12  # drift above this (and below probability_drift) renormalizes

@@ -322,6 +322,33 @@ class TestSvgBytes:
         with open(os.path.join(GOLDEN_DIR, golden), "rb") as fh:
             assert svg.read_bytes() == fh.read()
 
+    def test_ticks_end_below_the_float_spacing(self):
+        from infospace.svgplot import _nice_ticks
+
+        # the step, ~3e-17, is below the spacing of floats near 1: t + step == t
+        ticks = _nice_ticks(1 - 1e-16, 1 + 1e-16)
+        assert 1 <= len(ticks) <= 7
+        assert all(1 - 1e-16 <= t <= 1 + 1e-16 for t in ticks)
+
+    def test_svg_of_a_range_below_the_float_spacing(self, tmp_path):
+        # all three q of the Bell mixture at p = 5e-17 lie within ~1e-16 of 1;
+        # a child process limits its own address space, and the parent its
+        # time, so a tick loop that never ends fails instead of exhausting memory
+        child = (
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+            "from infospace.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        svg = tmp_path / "tiny.svg"
+        src = os.path.dirname(os.path.dirname(infospace.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        cmd = [sys.executable, "-c", child, "curve", "--family", "bell-mixture", "--p", "5e-17",
+               "--svg", str(svg)]
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(cmd, capture_output=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr.decode()
+        root = ET.parse(svg).getroot()
+        assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) >= 1
+
     def test_escape_matches_saxutils(self):
         from xml.sax.saxutils import escape as sax_escape
 

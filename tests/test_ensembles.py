@@ -13,6 +13,7 @@ from infospace import (
     NotCertifiedOrthogonal,
     ProductBasis,
     PureState,
+    StateCategory,
     assumed_exact_values,
     bell_mixture,
     bell_mixture_ec,
@@ -39,6 +40,7 @@ from helpers import (
     KET_00,
     KET_11,
     global_aabb,
+    random_density_matrix,
     random_hermitian,
     random_local_unitary,
     random_state_vector,
@@ -158,6 +160,8 @@ class TestProductEigenbasis:
         for _ in range(6):
             u = random_local_unitary(rng)
             states += [validate_density(rotated_spectrum(u, p), 2, 2) for p in spectra]
+            # classical on side B only: the basis is built from C transposed
+            states.append(_classical_on(rng, "B")[0])
         for rho in states:
             result = product_eigenbasis_check(rho)
             assert result.status is ProductBasis.PRODUCT
@@ -212,6 +216,25 @@ def _perturbed(rng, m, size):
     h = random_hermitian(rng, 4)
     h -= np.trace(h).real / 4 * np.eye(4)
     return m + size * h / np.max(np.abs(h))
+
+
+def _classical_on(rng, side):
+    """q |x0><x0| (x) r0 + (1 - q) |x1><x1| (x) r1 with the |x_k> on ``side``.
+
+    r0 and r1 are random mixed qubit states, so they do not commute and the
+    state is classical on ``side`` only. Returns the state, locally rotated,
+    and the rotated |x_k> as columns.
+    """
+    r0, r1 = random_density_matrix(rng, 2), random_density_matrix(rng, 2)
+    q = float(rng.uniform(0.2, 0.8))
+    e = np.eye(2)
+    m = np.zeros((4, 4), dtype=complex)
+    for w, x, r in ((q, np.outer(e[0], e[0]), r0), (1.0 - q, np.outer(e[1], e[1]), r1)):
+        m += w * (np.kron(x, r) if side == "A" else np.kron(r, x))
+    u_a, u_b = random_unitary(rng, 2), random_unitary(rng, 2)
+    u = np.kron(u_a, u_b)
+    r = u @ m @ u.conj().T
+    return validate_density((r + r.conj().T) / 2, 2, 2), u_a if side == "A" else u_b
 
 
 class TestExactProductDecision:
@@ -287,6 +310,37 @@ class TestExactProductDecision:
         vectors = np.array([np.kron(a, b) for _, a, b in result.basis]).T
         assert np.array_equal(vectors, np.eye(4))
 
+    @pytest.mark.parametrize("delta", [1e-9, 3e-9, 1e-8])
+    def test_near_degenerate_classical_states(self, delta):
+        # eigh mixes the vectors of a pair split by delta by about 1e-16/delta,
+        # which an eigenspace-by-eigenspace test read as entangled
+        rng = np.random.default_rng(int(delta * 1e10))
+        for _ in range(8):
+            u = random_local_unitary(rng)
+            pair = validate_density(rotated_spectrum(u, [0.5 + delta, 0, 0, 0.5 - delta]), 2, 2)
+            assert product_eigenbasis_check(pair).status is ProductBasis.PRODUCT
+            assert classify(pair).category is StateCategory.CLASSICALLY_CORRELATED
+            full = validate_density(rotated_spectrum(u, [0.4 + delta, 0.1, 0.1, 0.4 - delta]), 2, 2)
+            assert product_eigenbasis_check(full).status is ProductBasis.PRODUCT
+
+    def test_construction_oracle(self):
+        # states built classical on A, on B, on both or on neither; a one-sided
+        # state's basis carries that side's construction vectors
+        rng = np.random.default_rng(2025)
+        for _ in range(40):
+            for side in ("A", "B"):
+                rho, x = _classical_on(rng, side)
+                result = product_eigenbasis_check(rho)
+                assert result.status is ProductBasis.PRODUCT
+                labels = result.factors[:, 0 if side == "A" else 1]
+                overlaps = np.abs(labels @ x.conj())  # |<x_k|label>| per basis vector
+                assert np.allclose(np.sort(overlaps, axis=1), [0.0, 1.0], atol=1e-12)
+            u = random_local_unitary(rng)
+            both = validate_density(rotated_spectrum(u, rng.dirichlet(np.ones(4))), 2, 2)
+            assert product_eigenbasis_check(both).status is ProductBasis.PRODUCT
+            neither = validate_density(random_density_matrix(rng, 4), 2, 2)
+            assert product_eigenbasis_check(neither).status is ProductBasis.NO
+
     def test_verdict_invariance_sweep(self):
         # verdicts of states away from a boundary survive random local
         # unitaries and a 1e-13 Hermitian perturbation
@@ -343,6 +397,26 @@ class TestFormationPoint:
         )
         with pytest.raises(ComponentCostUnknown):
             formation_point(Ensemble(((1.0, odd),)))
+
+    @pytest.mark.parametrize("weights", [(0.1, 0.2, 0.3, 0.4), (0.1, 0.1, 0.2, 0.6)])
+    def test_rotated_bell_diagonal_component_cost(self, weights):
+        # Bell-diagonal up to local unitaries: the fallback reads the local
+        # Bloch vectors, not the off-diagonals in one fixed Bell basis
+        psi_plus = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
+        psi_minus = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
+        bell = np.column_stack([BELL_PLUS, BELL_MINUS, psi_plus, psi_minus])
+        plain = validate_density(rotated_spectrum(bell, weights), 2, 2)
+        want = _component_cost(plain, DEFAULT)
+        assert want.resettable is False
+        assert want.ec == pytest.approx(eof_2q(plain), abs=1e-15)
+        rng = np.random.default_rng(int(100 * weights[-1]))
+        for _ in range(10):
+            u = random_local_unitary(rng)
+            rotated = validate_density(rotated_spectrum(u @ bell, weights), 2, 2)
+            cost = _component_cost(rotated, DEFAULT)
+            assert cost.ec == pytest.approx(want.ec, abs=1e-12)
+            assert cost.s == pytest.approx(want.s, abs=1e-12)
+            assert cost.resettable is False
 
     def test_component_cost_invariant_under_local_unitaries(self):
         # eigh picks an arbitrary basis of the degenerate {|00>, |11>} eigenspace once

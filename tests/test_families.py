@@ -193,7 +193,7 @@ class TestClassify:
         assert result.category is StateCategory.MIXED_PPT
         assert result.product_eigenbasis == "not-checked"
 
-    @pytest.mark.parametrize("c2", [1e-10, 1e-8, 1e-6, 1e-3])
+    @pytest.mark.parametrize("c2", [1e-10, 5e-10, 8e-10, 1.2e-9, 2e-9, 1e-8, 1e-6, 1e-3])
     def test_pure_verdict_matches_product_eigenbasis(self, c2):
         # both paths decide "product" by the second Schmidt coefficient against
         # tol.schmidt; the entanglement entropy, ~c2^2 log(1/c2^2), reads 1e-6 as 0
