@@ -24,7 +24,6 @@ _EXPORTS = {
     "cli": (),
     "curves": (
         "ChiSlope",
-        "ComplementarityCheck",
         "DegenerateFamilyError",
         "InformationCurve",
         "PhaseScanResult",
@@ -33,9 +32,6 @@ _EXPORTS = {
         "ScanSample",
         "build_lower_envelope",
         "chi",
-        "chord_mix",
-        "complementarity_check",
-        "curve_value",
         "formation_endpoints",
         "phase_scan",
         "pure_extraction_line",
@@ -82,7 +78,6 @@ _EXPORTS = {
         "schmidt_coefficients",
         "spectrum_probabilities",
         "support_projector",
-        "tensor_product",
         "validate_density",
     ),
     "measures": (

@@ -24,7 +24,6 @@ class PointKind(enum.Enum):
     EXTRACTION_ZERO = "ExtractionZero"
     EXTRACTION_DISTILL = "ExtractionDistill"
     EXTRACTION_REVERSIBLE = "ExtractionReversible"
-    CHORD = "Chord"
 
 
 # module constants: each PointKind.X read is a class attribute lookup that costs
@@ -99,22 +98,6 @@ def formation_endpoints(
     )
 
 
-def chord_mix(p1: ProtocolPoint, p2: ProtocolPoint, lam: float) -> ProtocolPoint:
-    """Convex combination of two protocol points (coin-weighted protocols)."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0, 1], got {lam}")
-    # a chord attaches to either curve; every other kind is formation or extraction
-    chord = PointKind.CHORD in (p1.kind, p2.kind)
-    if not chord and (p1.kind in FORMATION_KINDS) != (p2.kind in FORMATION_KINDS):
-        raise ValueError(f"cannot mix points of different curve kinds: {p1.kind} vs {p2.kind}")
-    return ProtocolPoint(
-        (1.0 - lam) * p1.q + lam * p2.q,
-        (1.0 - lam) * p1.i + lam * p2.i,
-        PointKind.CHORD,
-        "chord",
-    )
-
-
 _BY_Q_THEN_I = operator.attrgetter("q", "i")
 
 
@@ -157,23 +140,6 @@ def build_lower_envelope(points: Sequence[ProtocolPoint]) -> InformationCurve:
     itself is :func:`_formation_hull`, shared with :func:`phase_scan`.
     """
     return InformationCurve(tuple(points), tuple(_formation_hull(points)))
-
-
-def curve_value(curve: InformationCurve, q: float) -> float:
-    """Linear interpolation on the envelope; q must lie inside its domain."""
-    env = curve.envelope
-    lo, hi = env[0][0], env[-1][0]
-    if q < lo - 1e-12 or q > hi + 1e-12:
-        raise ValueError(f"q={q} outside the envelope domain [{lo}, {hi}]")
-    q = min(max(q, lo), hi)
-    qs = [v[0] for v in env]
-    k = bisect.bisect_right(qs, q)
-    if k == len(env):
-        return env[-1][1]
-    (q1, i1), (q2, i2) = env[k - 1], env[k]
-    if q2 == q1:
-        return i1
-    return i1 + (q - q1) / (q2 - q1) * (i2 - i1)
 
 
 class ChiSlope(NamedTuple):
@@ -247,26 +213,6 @@ def pure_extraction_line(n: float, e: float) -> InformationCurve:
         if not vertices or vertices[-1] != (p.q, p.i):
             vertices.append((p.q, p.i))
     return InformationCurve(pts, tuple(vertices))
-
-
-@dataclass(frozen=True)
-class ComplementarityCheck:
-    """Verdict on the one-bit-per-singlet bound; margin = i_l(0) - (i_l(q) + q), < 0 if violated."""
-
-    satisfied: bool
-    margin: float
-
-
-def complementarity_check(i_l_at_q: float, q: float, i_l_zero: float) -> ComplementarityCheck:
-    """Check i_l(q) + q <= i_l(0): each distilled singlet forfeits one local bit.
-
-    Only defined for q >= 0; channel-assisted extraction (q < 0) can beat the
-    bound, so probing there is an error rather than a verdict.
-    """
-    if q < 0.0:
-        raise ValueError("the extraction bound applies only to q >= 0")
-    margin = i_l_zero - (i_l_at_q + q)
-    return ComplementarityCheck(satisfied=margin >= -1e-9, margin=margin)
 
 
 class ScanSample(NamedTuple):

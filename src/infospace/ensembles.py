@@ -175,12 +175,13 @@ def _mixed_component_cost(state: DensityOperator, /, tol: Tolerances = DEFAULT) 
         psi = PureState(v[:, -1], state.dim_a, state.dim_b)
         return ComponentCost(ec=pure_state_entanglement(psi, tol), s=0.0, resettable=True)
     two_qubit = (state.dim_a, state.dim_b) == (2, 2)
-    basis = product_eigenbasis_check(state, tol).basis if two_qubit else None
-    if basis is not None:
-        support = [(val, np.kron(a, b)) for val, a, b in basis if val > tol.support_cutoff]
+    result = product_eigenbasis_check(state, tol) if two_qubit else None
+    if result is not None and result.status is ProductBasis.PRODUCT:
+        pairs = zip(result.values, [np.kron(a, b) for a, b in result.factors])
     else:
         w, v = state.eigensystem(tol)
-        support = [(w[k], v[:, k]) for k in np.nonzero(w > tol.support_cutoff)[0]]
+        pairs = zip(w, v.T)
+    support = [(val, vec) for val, vec in pairs if val > tol.support_cutoff]
     total = float(sum(val for val, _ in support))
     sub = Ensemble(
         tuple((val / total, PureState(vec, state.dim_a, state.dim_b)) for val, vec in support)

@@ -114,22 +114,15 @@ class ProductBasis(enum.Enum):
 class ProductBasisResult:
     """Verdict plus, for PRODUCT, the product eigenbasis itself.
 
-    ``basis`` reads as (eigenvalue, a_factor, b_factor) triples covering the
-    whole space, as {ab, ab', a'c, a'c'} or its mirror image {ab, a'b, cb',
-    c'b'}. They are kept compactly: the k
-    eigenvalues, and one read-only (k, 2, 2) array whose row k holds a_k and
-    b_k.
+    The basis covers the whole space, as {ab, ab', a'c, a'c'} or its mirror
+    image {ab, a'b, cb', c'b'}: ``values`` holds its four eigenvalues, and the
+    read-only (4, 2, 2) array ``factors`` holds a_k and b_k in row k. For NO
+    they are ``()`` and None.
     """
 
     status: ProductBasis
     values: tuple[float, ...] = ()
     factors: np.ndarray | None = None
-
-    @property
-    def basis(self) -> tuple[tuple[float, np.ndarray, np.ndarray], ...] | None:
-        if self.factors is None:
-            return None
-        return tuple((val, f[0], f[1]) for val, f in zip(self.values, self.factors))
 
 
 def _qubit_complement(x: np.ndarray) -> np.ndarray:
@@ -225,13 +218,13 @@ def product_eigenbasis_check(rho: DensityOperator, /, tol: Tolerances = DEFAULT)
     return ProductBasisResult(ProductBasis.PRODUCT, tuple(val for val, _, _ in basis), factors)
 
 
-def _correlated_labels(basis, tol: Tolerances) -> bool:
+def _correlated_labels(result: ProductBasisResult, tol: Tolerances) -> bool:
     """True when the support's product labels pair off one-to-one.
 
     Both sides' label vectors must be pairwise orthogonal, which is the
     sum_k p_k |kk><kk| structure up to local relabeling.
     """
-    support = [(a, b) for val, a, b in basis if val > tol.support_cutoff]
+    support = [f for val, f in zip(result.values, result.factors) if val > tol.support_cutoff]
     for i in range(len(support)):
         for j in range(i + 1, len(support)):
             if abs(complex(np.vdot(support[i][0], support[j][0]))) > tol.overlap:
@@ -269,7 +262,7 @@ def classify(rho: DensityOperator, /, tol: Tolerances = DEFAULT) -> Classificati
     elif (rho.dim_a, rho.dim_b) == (2, 2):
         result = product_eigenbasis_check(rho, tol)
         peb = result.status.value
-        if result.status is ProductBasis.PRODUCT and _correlated_labels(result.basis, tol):
+        if result.status is ProductBasis.PRODUCT and _correlated_labels(result, tol):
             category = StateCategory.CLASSICALLY_CORRELATED
         elif npt:
             category = StateCategory.MIXED_NPT

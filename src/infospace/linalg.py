@@ -212,7 +212,7 @@ class DensityOperator:
 
     @_stored
     def _pt_decomposition(self):
-        w, _, residual = _decompose(partial_transpose(self, "B"))
+        w, _, residual = _decompose(partial_transpose(self))
         return _read_only(w), None, residual
 
     @_stored
@@ -242,7 +242,7 @@ class DensityOperator:
         """Certified eigenvalues (ascending, read-only) of the B-side partial transpose.
 
         Same checks and errors as :func:`hermitian_eigensystem` on
-        ``partial_transpose(rho, "B")``.
+        ``partial_transpose(rho)``.
         """
         # the partial transpose permutes the entries of M - M^dag, so it has
         # exactly the matrix's Hermiticity residual
@@ -319,11 +319,6 @@ class PureState:
         )
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product of two operators; dimensions multiply."""
-    return np.kron(check_matrix(a), check_matrix(b))
-
-
 def partial_trace(rho: DensityOperator | PureState, keep) -> DensityOperator:
     """Reduced state of the kept subsystem, ``keep`` in {'A', 'B'}; ``rho`` keeps it.
 
@@ -338,17 +333,10 @@ def partial_trace(rho: DensityOperator | PureState, keep) -> DensityOperator:
     raise ValueError(f"subsystem selector must be 'A' or 'B', got {keep!r}")
 
 
-def partial_transpose(rho: DensityOperator, side) -> np.ndarray:
-    """Transpose one tensor factor; the result may fail positivity."""
+def partial_transpose(rho: DensityOperator) -> np.ndarray:
+    """Transpose the B factor; the result may fail positivity."""
     r = rho.matrix.reshape(rho.dim_a, rho.dim_b, rho.dim_a, rho.dim_b)
-    s = str(side).upper()
-    if s == "A":
-        out = r.transpose(2, 1, 0, 3)
-    elif s == "B":
-        out = r.transpose(0, 3, 2, 1)
-    else:
-        raise ValueError(f"transpose side must be 'A' or 'B', got {side!r}")
-    return np.ascontiguousarray(out.reshape(rho.dim, rho.dim))
+    return np.ascontiguousarray(r.transpose(0, 3, 2, 1).reshape(rho.dim, rho.dim))
 
 
 def hermitian_eigensystem(m, tol: Tolerances = DEFAULT) -> tuple[np.ndarray, np.ndarray]:

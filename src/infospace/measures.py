@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_forms import binary_entropy
+from .closed_forms import _entropy_bits
 from .linalg import (
     DensityOperator,
     PureState,
@@ -85,8 +85,11 @@ def concurrence_2q(rho: DensityOperator, tol: Tolerances = DEFAULT) -> float:
 
 
 def _eof_from_concurrence(c: float) -> float:
-    """Wootters closed form E_F = H(1/2 + sqrt(1 - C^2)/2)."""
-    return binary_entropy(0.5 + 0.5 * math.sqrt(max(0.0, 1.0 - c * c)))
+    """Wootters closed form E_F = H(1/2 + sqrt(1 - C^2)/2), on the smaller branch.
+
+    That branch is C^2 / (2 (1 + sqrt(1 - C^2))), so nothing cancels as C -> 0.
+    """
+    return _entropy_bits(c * c / (2.0 + 2.0 * math.sqrt(max(0.0, 1.0 - c * c))))
 
 
 def eof_2q(rho: DensityOperator, tol: Tolerances = DEFAULT) -> float:

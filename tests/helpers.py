@@ -1,5 +1,6 @@
-"""Shared state constructors for the test suite."""
+"""Shared state constructors and oracles for the test suite."""
 
+import mpmath as mp
 import numpy as np
 
 BELL_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -83,3 +84,27 @@ def split_decomposition(p):
             (1.0 - 2.0 * p, PureState(BELL_MINUS, 2, 2)),
         )
     )
+
+
+def envelope_at(curve, q):
+    """A curve's envelope at q by numpy's linear interpolation, independent of the package."""
+    qs, values = zip(*curve.envelope)
+    return float(np.interp(q, qs, values))
+
+
+def mp_small_entropy(s):
+    """H(s) in bits for an mpf s in [0, 1/2], at the caller's working precision."""
+    if s == 0:
+        return mp.mpf(0)
+    return (-s * mp.log(s) - (1 - s) * mp.log1p(-s)) / mp.log(2)
+
+
+def mp_bell_ec(p):
+    """E_c of the Bell mixture at the float p's exact value, at the caller's precision.
+
+    The smaller branch s = eps^2 / (2 (1 + 2 sqrt(p (1 - p)))), eps = 1 - 2p,
+    is built without cancellation.
+    """
+    p = mp.mpf(p)
+    eps = 1 - 2 * p
+    return mp_small_entropy(eps**2 / (2 * (1 + 2 * mp.sqrt(p * (1 - p)))))

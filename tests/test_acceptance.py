@@ -23,8 +23,6 @@ from infospace import (
     chi,
     classically_correlated,
     classify,
-    complementarity_check,
-    curve_value,
     ensemble_average,
     eof_2q,
     formation_endpoints,
@@ -39,7 +37,14 @@ from infospace import (
     von_neumann_entropy,
 )
 from infospace.cli import main
-from helpers import BELL_PLUS, KET_00, KET_11, random_density_matrix, random_hermitian
+from helpers import (
+    BELL_PLUS,
+    KET_00,
+    KET_11,
+    envelope_at,
+    random_density_matrix,
+    random_hermitian,
+)
 
 
 @contextlib.contextmanager
@@ -118,9 +123,9 @@ def test_criterion_5_pure_state_lines():
             probes = np.linspace(0.0, e, 12)[1:-1]
             for q in probes:
                 assert abs(chi(line, q).slope + 1.0) <= 1e-9
-                check = complementarity_check(curve_value(line, q), q, curve_value(line, 0.0))
-                assert check.satisfied
-                assert abs(check.margin) <= 1e-9
+                # one local bit per distilled singlet: I(q) + q <= I(0), saturated
+                margin = envelope_at(line, 0.0) - (envelope_at(line, q) + q)
+                assert abs(margin) <= 1e-9
 
 
 def _certified_ensembles():

@@ -64,6 +64,12 @@ class TestEntropy:
         assert doc["eof"] == pytest.approx(0.354578903, abs=1e-9)
         assert doc["ppt_min_eig"] == -0.25
 
+    def test_eof_keeps_its_digits_near_half(self, capsys):
+        # E_c = 3.466197599e-09 (Vidal, Dur and Cirac); 1 - 2p = 2e-05 cancels in the long branch
+        code, out, _ = run(["entropy", "--family", "bell-mixture", "--p", "0.49999"], capsys)
+        assert code == 0
+        assert '"eof": 3.4661976e-09,' in out
+
     def test_classical_family(self, capsys):
         code, out, _ = run(["entropy", "--family", "classical", "--probs", "0.5,0.5"], capsys)
         assert code == 0
@@ -145,6 +151,12 @@ class TestCurve:
         code, out, _ = run(["curve", "--family", "bell-mixture", "--p", "0.25"], capsys)
         assert code == 0
         assert out == GOLDEN_CURVE_QUARTER
+
+    def test_ec_keeps_its_digits_near_half(self, capsys):
+        code, out, _ = run(["curve", "--family", "bell-mixture", "--p", "0.49999"], capsys)
+        assert code == 0
+        assert "FormationEndpointEc,min-communication,3.4661976e-09,2\n" in out
+        assert "EnvelopeVertex,formation-envelope,3.4661976e-09,2\n" in out
 
     def test_pure_schmidt_extraction_line(self, capsys):
         code, out, _ = run(

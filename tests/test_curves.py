@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -14,14 +15,12 @@ from infospace import (
     bell_mixture_ec,
     build_lower_envelope,
     chi,
-    chord_mix,
-    complementarity_check,
-    curve_value,
     formation_endpoints,
     phase_scan,
     pure_extraction_line,
 )
 from infospace.curves import FORMATION_KINDS
+from helpers import envelope_at, mp_bell_ec
 
 EC_QUARTER = 0.3545789026652699
 I_QUARTER = 1.1887218755408671  # 2 - H(1/4)
@@ -82,49 +81,6 @@ class TestFormationEndpoints:
             formation_endpoints(1.0, 0.5, 0.9, 0.3)
 
 
-class TestChordMix:
-    def test_endpoint_weights(self):
-        a = ProtocolPoint(0.2, 1.5, PointKind.FORMATION_INTERMEDIATE)
-        b = ProtocolPoint(0.8, 1.1, PointKind.FORMATION_INTERMEDIATE)
-        assert (chord_mix(a, b, 0.0).q, chord_mix(a, b, 0.0).i) == (a.q, a.i)
-        assert (chord_mix(a, b, 1.0).q, chord_mix(a, b, 1.0).i) == (b.q, b.i)
-
-    def test_midpoint(self):
-        a = ProtocolPoint(EC_QUARTER, 2.0, PointKind.FORMATION_ENDPOINT_EC)
-        b = ProtocolPoint(1.0, I_QUARTER, PointKind.FORMATION_ENDPOINT_ER)
-        mid = chord_mix(a, b, 0.5)
-        assert mid.q == pytest.approx(0.6772894513326349, abs=1e-12)
-        assert mid.i == pytest.approx(1.5943609377704336, abs=1e-12)
-        assert mid.kind is PointKind.CHORD
-
-    def test_kind_mismatch(self):
-        a = ProtocolPoint(0.1, 1.0, PointKind.FORMATION_INTERMEDIATE)
-        b = ProtocolPoint(0.1, 1.0, PointKind.EXTRACTION_ZERO)
-        with pytest.raises(ValueError, match="curve kinds"):
-            chord_mix(a, b, 0.5)
-
-    def test_refuses_exactly_formation_with_extraction(self):
-        extraction = {
-            PointKind.EXTRACTION_ZERO,
-            PointKind.EXTRACTION_DISTILL,
-            PointKind.EXTRACTION_REVERSIBLE,
-        }
-        formation = set(PointKind) - extraction - {PointKind.CHORD}
-        for k1 in PointKind:
-            for k2 in PointKind:
-                a, b = ProtocolPoint(0.1, 1.0, k1), ProtocolPoint(0.3, 0.8, k2)
-                if {k1, k2} & formation and {k1, k2} & extraction:
-                    with pytest.raises(ValueError, match="curve kinds"):
-                        chord_mix(a, b, 0.5)
-                else:
-                    assert chord_mix(a, b, 0.5).kind is PointKind.CHORD
-
-    def test_weight_domain(self):
-        a = ProtocolPoint(0.1, 1.0, PointKind.CHORD)
-        with pytest.raises(ValueError):
-            chord_mix(a, a, 1.5)
-
-
 class TestLowerEnvelope:
     def test_two_point_segment(self):
         pts = formation_endpoints(I_QUARTER, 2.0 - I_QUARTER, EC_QUARTER, 1.0)
@@ -142,18 +98,18 @@ class TestLowerEnvelope:
 
     def test_dominated_point_excluded(self):
         pts = list(formation_endpoints(I_QUARTER, 2.0 - I_QUARTER, EC_QUARTER, 1.0))
-        pts.append(ProtocolPoint(0.6, 1.97, PointKind.CHORD, "above"))
+        pts.append(ProtocolPoint(0.6, 1.97, PointKind.FORMATION_INTERMEDIATE, "above"))
         curve = build_lower_envelope(pts)
         assert all(v[0] != 0.6 for v in curve.envelope)
 
     def test_inputs_on_or_above(self):
         pts = bell_formation_points(0.3) + [
-            ProtocolPoint(0.7, 1.9, PointKind.CHORD),
-            ProtocolPoint(0.9, 1.2, PointKind.CHORD),
+            ProtocolPoint(0.7, 1.9, PointKind.FORMATION_INTERMEDIATE),
+            ProtocolPoint(0.9, 1.2, PointKind.FORMATION_INTERMEDIATE),
         ]
         curve = build_lower_envelope(pts)
         for p in pts:
-            assert p.i >= curve_value(curve, p.q) - 1e-9
+            assert p.i >= envelope_at(curve, p.q) - 1e-9
 
     def test_idempotent(self):
         curve = bell_curve(0.25)
@@ -181,15 +137,18 @@ class TestLowerEnvelope:
 
     def test_formation_requires_endpoints(self):
         pts = [
-            ProtocolPoint(0.1, 1.0, PointKind.CHORD),
-            ProtocolPoint(0.5, 0.5, PointKind.CHORD),
+            ProtocolPoint(0.1, 1.0, PointKind.FORMATION_INTERMEDIATE),
+            ProtocolPoint(0.5, 0.5, PointKind.FORMATION_INTERMEDIATE),
         ]
         with pytest.raises(ValueError, match="extreme"):
             build_lower_envelope(pts)
 
     @pytest.mark.parametrize("kind", [PointKind.FORMATION_ENDPOINT_EC, PointKind.FORMATION_ENDPOINT_ER])
     def test_formation_requires_both_endpoints(self, kind):
-        pts = [ProtocolPoint(0.1, 1.0, kind), ProtocolPoint(0.5, 0.5, PointKind.CHORD)]
+        pts = [
+            ProtocolPoint(0.1, 1.0, kind),
+            ProtocolPoint(0.5, 0.5, PointKind.FORMATION_INTERMEDIATE),
+        ]
         with pytest.raises(ValueError, match="extreme"):
             build_lower_envelope(pts)
 
@@ -201,30 +160,6 @@ class TestLowerEnvelope:
             assert i2 <= chord + 1e-9
         for (q1, i1), (q2, i2) in zip(env, env[1:]):
             assert i2 <= i1 + 1e-9  # more communication never costs more information
-
-
-class TestCurveValue:
-    def test_vertex_exact(self):
-        curve = bell_curve(0.25)
-        for q, i in curve.envelope:
-            assert curve_value(curve, q) == i
-
-    def test_interpolation(self):
-        assert curve_value(bell_curve(0.25), 0.75) == pytest.approx(
-            1.3443609377704336, abs=1e-9
-        )
-
-    def test_single_segment_midpoint(self):
-        pts = formation_endpoints(1.0, 1.0, 0.0, 1.0)
-        curve = build_lower_envelope(pts)
-        assert curve_value(curve, 0.5) == pytest.approx(1.5, abs=1e-12)
-
-    def test_out_of_range(self):
-        curve = bell_curve(0.25)
-        with pytest.raises(ValueError, match="domain"):
-            curve_value(curve, 0.1)
-        with pytest.raises(ValueError, match="domain"):
-            curve_value(curve, 1.2)
 
 
 class TestPureExtractionLine:
@@ -268,28 +203,9 @@ class TestPureExtractionLine:
         for n, e in pairs:
             line = pure_extraction_line(n, e)
             for q in np.linspace(0.0, e, 12)[1:-1]:
-                check = complementarity_check(curve_value(line, q), q, curve_value(line, 0.0))
-                assert check.satisfied and abs(check.margin) <= 1e-9
-
-
-class TestComplementarity:
-    def test_saturation_on_pure_line(self):
-        line = pure_extraction_line(2.0, 1.0)
-        result = complementarity_check(curve_value(line, 0.5), 0.5, curve_value(line, 0.0))
-        assert result.satisfied
-        assert abs(result.margin) <= 1e-9
-
-    def test_satisfied_with_slack(self):
-        result = complementarity_check(0.2, 0.5, 1.0)
-        assert result.satisfied and result.margin == pytest.approx(0.3, abs=1e-12)
-
-    def test_violated_with_excess(self):
-        result = complementarity_check(0.8, 0.5, 1.0)
-        assert not result.satisfied and result.margin == pytest.approx(-0.3, abs=1e-12)
-
-    def test_negative_q_rejected(self):
-        with pytest.raises(ValueError, match="q >= 0"):
-            complementarity_check(1.5, -0.5, 1.0)
+                # the margin I(0) - (I(q) + q) of the bound I(q) + q <= I(0)
+                margin = envelope_at(line, 0.0) - (envelope_at(line, q) + q)
+                assert abs(margin) <= 1e-9
 
 
 class TestChi:
@@ -337,7 +253,7 @@ class TestChi:
         curve = bell_curve(0.25)
         h = 1e-7
         for q in (0.42, 0.75):
-            numeric = (curve_value(curve, q + h) - curve_value(curve, q - h)) / (2 * h)
+            numeric = (envelope_at(curve, q + h) - envelope_at(curve, q - h)) / (2 * h)
             assert chi(curve, q).slope == pytest.approx(numeric, abs=1e-6)
 
 
@@ -365,6 +281,16 @@ class TestPhaseScan:
         slopes = {s.slope for s in result.samples}
         assert len(slopes) == 1
         assert not result.divergence_flag
+
+    @pytest.mark.parametrize("k", range(1, 16))
+    def test_steepest_slope_near_half(self, k):
+        # the steepest segment joins (E_c, 2) to (1 - 2p, 2 - 2p): slope 2p / (E_c - eps)
+        p = 0.5 - 10.0**-k
+        sample = phase_scan(bell_formation_points, [p]).samples[0]
+        with mp.workdps(60):
+            p_mp = mp.mpf(p)
+            exact = 2 * p_mp / (mp_bell_ec(p) - (1 - 2 * p_mp))
+            assert float(abs((mp.mpf(sample.slope) - exact) / exact)) <= 1e-14
 
     def test_fixed_q_probe(self):
         result = phase_scan(bell_formation_points, [0.25], probe=0.75)
@@ -482,7 +408,7 @@ class TestScanSample:
 class TestProtocolPoint:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
-            ProtocolPoint(math.nan, 1.0, PointKind.CHORD)
+            ProtocolPoint(math.nan, 1.0, PointKind.FORMATION_INTERMEDIATE)
 
     def test_formation_nonnegative(self):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -141,7 +141,7 @@ class TestProductEigenbasis:
         rho = validate_density(np.eye(4) / 4, 2, 2)
         result = product_eigenbasis_check(rho)
         assert result.status is ProductBasis.PRODUCT
-        assert len(result.basis) == 4
+        assert len(result.values) == len(result.factors) == 4
 
     def test_basis_vectors_are_eigenvectors(self):
         # one nondegenerate spectrum, then every degenerate eigenspace shape:
@@ -165,10 +165,10 @@ class TestProductEigenbasis:
         for rho in states:
             result = product_eigenbasis_check(rho)
             assert result.status is ProductBasis.PRODUCT
-            vectors = np.array([np.kron(a, b) for _, a, b in result.basis]).T
+            vectors = np.array([np.kron(a, b) for a, b in result.factors]).T
             assert vectors.shape == (4, 4)
             assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(4))) <= DEFAULT.overlap
-            for val, a, b in result.basis:
+            for val, (a, b) in zip(result.values, result.factors):
                 vec = np.kron(a, b)
                 assert np.max(np.abs(rho.matrix @ vec - val * vec)) <= DEFAULT.eigen_residual
 
@@ -281,7 +281,7 @@ class TestExactProductDecision:
                 rho = validate_density(rotated_spectrum(u, spectrum), 2, 2)
                 result = product_eigenbasis_check(rho)
                 assert result.status is ProductBasis.PRODUCT
-                assert len(result.basis) == 4
+                assert len(result.values) == len(result.factors) == 4
 
     def test_double_root_has_one_product_direction(self):
         # span{|00>, (|01> + |10>)/sqrt2}: the quadratic is a nonzero square,
@@ -307,7 +307,7 @@ class TestExactProductDecision:
 
     def test_maximally_mixed_basis_is_computational(self):
         result = product_eigenbasis_check(validate_density(np.eye(4) / 4, 2, 2))
-        vectors = np.array([np.kron(a, b) for _, a, b in result.basis]).T
+        vectors = np.array([np.kron(a, b) for a, b in result.factors]).T
         assert np.array_equal(vectors, np.eye(4))
 
     @pytest.mark.parametrize("delta", [1e-9, 3e-9, 1e-8])

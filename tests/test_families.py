@@ -51,9 +51,9 @@ class TestBellMixture:
 
     def test_npt_across_family(self):
         for p in np.linspace(0.0, 0.5, 26):
-            w, _ = hermitian_eigensystem(partial_transpose(bell_mixture(p), "B"))
+            w, _ = hermitian_eigensystem(partial_transpose(bell_mixture(p)))
             assert abs(w[0] - (p - 0.5)) < 1e-9
-        w, _ = hermitian_eigensystem(partial_transpose(bell_mixture(0.5), "B"))
+        w, _ = hermitian_eigensystem(partial_transpose(bell_mixture(0.5)))
         assert w[0] >= -1e-12  # PPT exactly at the classical endpoint
 
 

@@ -10,25 +10,24 @@ import pytest
 
 import infospace
 
-# the public namespace of `import infospace` before it became lazy, less the deleted FamilySpec
+# the public namespace of `import infospace` before it became lazy, less the deleted names
 PUBLIC_NAMES = (
-    "AssumedExactValues", "ChiSlope", "Classification", "ComplementarityCheck", "ComponentCost",
+    "AssumedExactValues", "ChiSlope", "Classification", "ComponentCost",
     "ComponentCostUnknown", "DEFAULT", "DegenerateFamilyError", "DensityOperator",
     "EigenConvergenceError", "Ensemble", "InformationCurve", "LocalOrthogonality",
     "MeasureReport", "NotApplicable", "NotCertifiedOrthogonal", "NotHermitian", "NotPositive",
     "PhaseScanResult", "PointKind", "ProductBasis", "ProductBasisResult", "ProtocolPoint",
     "PureState", "ScanSample", "StateCategory", "Tolerances", "TraceNotOne", "ValidationError",
     "assumed_exact_values", "bell_formation_points", "bell_mixture", "bell_mixture_ec",
-    "binary_entropy", "build_lower_envelope", "chi", "chord_mix", "classically_correlated",
-    "classify", "complementarity_check", "concurrence_2q", "curve_value", "curves", "dump_state",
-    "ensemble_average", "ensemble_from_dict", "ensemble_to_dict", "ensembles", "eof_2q",
-    "families", "formation_endpoints", "formation_point", "formation_surplus_bound",
-    "hermitian_eigensystem", "information_content", "linalg", "load_state", "local_entropies",
-    "local_orthogonality_check", "measure_report", "measures", "partial_trace",
-    "partial_transpose", "phase_scan", "product_eigenbasis_check", "pure_extraction_line",
-    "pure_schmidt", "pure_state_entanglement", "reversible_cost_bound", "schmidt_coefficients",
-    "serialize", "shannon_entropy", "spectrum_probabilities", "state_from_dict", "state_to_dict",
-    "support_projector", "tensor_product", "tolerances", "validate_density",
+    "binary_entropy", "build_lower_envelope", "chi", "classically_correlated", "classify",
+    "concurrence_2q", "curves", "dump_state", "ensemble_average", "ensemble_from_dict",
+    "ensemble_to_dict", "ensembles", "eof_2q", "families", "formation_endpoints",
+    "formation_point", "formation_surplus_bound", "hermitian_eigensystem", "information_content",
+    "linalg", "load_state", "local_entropies", "local_orthogonality_check", "measure_report",
+    "measures", "partial_trace", "partial_transpose", "phase_scan", "product_eigenbasis_check",
+    "pure_extraction_line", "pure_schmidt", "pure_state_entanglement", "reversible_cost_bound",
+    "schmidt_coefficients", "serialize", "shannon_entropy", "spectrum_probabilities",
+    "state_from_dict", "state_to_dict", "support_projector", "tolerances", "validate_density",
     "von_neumann_entropy",
 )
 SUBMODULES = ("curves", "ensembles", "families", "linalg", "measures", "serialize", "tolerances")
@@ -160,6 +159,18 @@ class TestLazyNamespace:
         # a curve's role is read off its points' kinds
         assert not hasattr(infospace, "CurveKind")
         assert not hasattr(importlib.import_module("infospace.curves"), "CurveKind")
+        # names that no package code called: gone from the package and from their home
+        for module, name in (
+            ("linalg", "tensor_product"),
+            ("curves", "curve_value"),
+            ("curves", "chord_mix"),
+            ("curves", "complementarity_check"),
+            ("curves", "ComplementarityCheck"),
+        ):
+            assert not hasattr(infospace, name) and name not in infospace.__all__
+            assert not hasattr(importlib.import_module(f"infospace.{module}"), name)
+        assert "CHORD" not in infospace.PointKind.__members__
+        assert not hasattr(infospace.ProductBasisResult, "basis")
         assert infospace.cli is sys.modules["infospace.cli"] and "cli" in infospace.__all__
 
     def test_star_import_binds_exactly_all(self):

@@ -19,7 +19,6 @@ from infospace import (
     partial_transpose,
     schmidt_coefficients,
     spectrum_probabilities,
-    tensor_product,
     validate_density,
     von_neumann_entropy,
 )
@@ -37,33 +36,6 @@ def mp_eigenvalues(m) -> list:
     """Eigenvalues of an exactly Hermitian float matrix at 40 digits, ascending."""
     with mp.workdps(40):
         return sorted(mp.eigh(mp.matrix(m.tolist()), eigvals_only=True))
-
-
-class TestTensorProduct:
-    def test_identity(self):
-        assert np.array_equal(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_projector_placement(self):
-        out = tensor_product(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        assert np.array_equal(out, np.diag([0.0, 1.0, 0.0, 0.0]))
-
-    def test_ket01_eigenvector(self):
-        # |0><0| (x) |1><1| applied to |01>: worked out by direct 4x4 multiplication
-        m = tensor_product(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        ket01 = np.array([0, 1, 0, 0], dtype=complex)
-        assert np.allclose(m @ ket01, ket01, atol=1e-15)
-
-    def test_mixed_product_identity(self):
-        rng = np.random.default_rng(3)
-        a, b = random_hermitian(rng, 2), random_hermitian(rng, 3)
-        c, d = random_hermitian(rng, 2), random_hermitian(rng, 3)
-        lhs = tensor_product(a, b) @ tensor_product(c, d)
-        rhs = tensor_product(a @ c, b @ d)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError, match="finite"):
-            tensor_product(np.array([[np.nan, 0], [0, 1]]), np.eye(2))
 
 
 class TestPartialTrace:
@@ -115,33 +87,31 @@ class TestPartialTranspose:
         sigma = random_density_matrix(rng, 2)
         tau = random_density_matrix(rng, 2)
         rho = DensityOperator(np.kron(sigma, tau), 2, 2)
-        assert np.max(np.abs(partial_transpose(rho, "B") - np.kron(sigma, tau.T))) < 1e-14
-        assert np.max(np.abs(partial_transpose(rho, "A") - np.kron(sigma.T, tau))) < 1e-14
+        assert np.max(np.abs(partial_transpose(rho) - np.kron(sigma, tau.T))) < 1e-14
 
     def test_bell_minimum_eigenvalue(self):
-        pt = partial_transpose(PureState(BELL_PLUS, 2, 2).projector(), "B")
+        pt = partial_transpose(PureState(BELL_PLUS, 2, 2).projector())
         w, _ = hermitian_eigensystem(pt)
         assert abs(w[0] + 0.5) < 1e-12
 
     @pytest.mark.parametrize("p", [0.0, 0.1, 0.25, 0.4, 0.5])
     def test_bell_mixture_spectrum(self, p):
         # explicit 4x4 computation gives {1/2, 1/2, 1/2 - p, p - 1/2}
-        w, _ = hermitian_eigensystem(partial_transpose(bell_mixture(p), "B"))
+        w, _ = hermitian_eigensystem(partial_transpose(bell_mixture(p)))
         expected = np.sort([0.5, 0.5, 0.5 - p, p - 0.5])
         assert np.max(np.abs(w - expected)) < 1e-12
 
     def test_involution_is_exact(self):
         rng = np.random.default_rng(19)
         rho = DensityOperator(random_density_matrix(rng, 6), 2, 3)
-        for side in ("A", "B"):
-            once = partial_transpose(rho, side)
-            twice = partial_transpose(DensityOperator(once, 2, 3), side)
-            assert np.array_equal(twice, rho.matrix)
+        once = partial_transpose(rho)
+        twice = partial_transpose(DensityOperator(once, 2, 3))
+        assert np.array_equal(twice, rho.matrix)
 
     def test_hermiticity_and_trace_preserved(self):
         rng = np.random.default_rng(23)
         rho = DensityOperator(random_density_matrix(rng, 4), 2, 2)
-        pt = partial_transpose(rho, "A")
+        pt = partial_transpose(rho)
         assert np.max(np.abs(pt - pt.conj().T)) < 1e-12
         assert abs(complex(np.trace(pt)) - 1.0) < 1e-12
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import infospace.measures
+from infospace.measures import _eof_from_concurrence
 from infospace import (
     DensityOperator,
     PureState,
@@ -18,13 +19,14 @@ from infospace import (
     measure_report,
     pure_state_entanglement,
     shannon_entropy,
-    tensor_product,
     validate_density,
     von_neumann_entropy,
 )
 from helpers import (
     BELL_PLUS,
     KET_00,
+    mp_bell_ec,
+    mp_small_entropy,
     random_density_matrix,
     random_state_vector,
     random_unitary,
@@ -137,7 +139,7 @@ class TestInformationContent:
         for _ in range(5):
             a = DensityOperator(random_density_matrix(rng, 4), 2, 2)
             b = DensityOperator(random_density_matrix(rng, 4), 2, 2)
-            joint = DensityOperator(tensor_product(a.matrix, b.matrix), 4, 4)
+            joint = DensityOperator(np.kron(a.matrix, b.matrix), 4, 4)
             lhs = information_content(joint)
             rhs = information_content(a) + information_content(b)
             assert abs(lhs - rhs) < 1e-9
@@ -230,7 +232,7 @@ class TestConcurrence:
         rho = bell_mixture(0.15)
         base = concurrence_2q(rho)
         for _ in range(8):
-            u = tensor_product(random_unitary(rng, 2), random_unitary(rng, 2))
+            u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
             rotated = validate_density(u @ rho.matrix @ u.conj().T, 2, 2)
             assert abs(concurrence_2q(rotated) - base) < 1e-9
 
@@ -272,6 +274,43 @@ class TestBellMixtureEc:
         # two routes to the same number: spin-flip concurrence vs closed form
         for p in np.linspace(0.0, 0.5, 50):
             assert abs(eof_2q(bell_mixture(p)) - bell_mixture_ec(p)) <= 1e-9
+
+
+def relative_error(value: float, exact) -> float:
+    return float(abs((mp.mpf(value) - exact) / exact))
+
+
+# 10^-k from both ends; the closed forms cancel near p = 1/2 and C = 0 unless
+# their smaller branch is formed without subtraction
+_NEAR = [10.0**-k for k in range(1, 17)]
+
+
+class TestRelativeAccuracyAtTheEnds:
+    """Relative error against 60-digit references, bounded at 1e-14."""
+
+    @pytest.mark.parametrize("d", _NEAR)
+    def test_bell_mixture_ec(self, d):
+        with mp.workdps(60):
+            for p in (0.5 - d, d):
+                assert relative_error(bell_mixture_ec(p), mp_bell_ec(p)) <= 1e-14
+
+    @pytest.mark.parametrize("d", _NEAR + [1e-30, 1e-100, 1e-300])
+    def test_binary_entropy(self, d):
+        with mp.workdps(60):
+            assert relative_error(binary_entropy(d), mp_small_entropy(mp.mpf(d))) <= 1e-14
+            # 1 - d rounds, so the reference takes the complement of what x holds
+            x = 1.0 - d
+            if x < 1.0:
+                exact = mp_small_entropy(1 - mp.mpf(x))
+                assert relative_error(binary_entropy(x), exact) <= 1e-14
+
+    @pytest.mark.parametrize("d", _NEAR)
+    def test_eof_from_concurrence(self, d):
+        with mp.workdps(60):
+            for c in (d, 1.0 - d):
+                c_mp = mp.mpf(c)
+                s = c_mp**2 / (2 * (1 + mp.sqrt(1 - c_mp**2)))
+                assert relative_error(_eof_from_concurrence(c), mp_small_entropy(s)) <= 1e-14
 
 
 class TestMeasureReport:
