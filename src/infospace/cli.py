@@ -6,6 +6,9 @@ Exit codes: 0 success, 1 input or domain error, 2 numerical failure.
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
+
+import infospace
 
 from .closed_forms import bell_formation_points
 from .curves import (
@@ -18,11 +21,11 @@ from .curves import (
     phase_scan,
     pure_extraction_line,
 )
-from .serialize import fmt, fnum, points_csv, scan_csv
+from .serialize import dump_state, fmt, fnum, load_state, points_csv, scan_csv
 
-# numpy-backed modules (families, measures, ensembles, linalg, the state-file
-# readers) and svgplot are imported inside the commands that use them, so
-# phase-scan and the bell-mixture curve run on the standard library alone
+# numpy-backed names are read off the lazy package namespace (infospace.<name>)
+# when a command first calls them, and svgplot is imported inside _curve_svg,
+# so phase-scan and the bell-mixture curve run on the standard library alone
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -42,39 +45,69 @@ def _parse_floats(text: str) -> list[float]:
         raise ValueError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
-# each family's parameter flag; --state also selects raw when no --family is given
-_FAMILY_FLAGS = {
-    "bell-mixture": "--p",
-    "pure-schmidt": "--coeffs",
-    "classical": "--probs",
-    "raw": "--state FILE",
+def _bell_curves(p: float, include_extraction: bool) -> list[tuple[str, InformationCurve]]:
+    # no computable extraction rule for this mixed family
+    return [("formation-envelope", build_lower_envelope(bell_formation_points(p)))]
+
+
+def _pure_curves(coeffs, include_extraction: bool) -> list[tuple[str, InformationCurve]]:
+    psi = infospace.pure_schmidt(coeffs)
+    # pure_schmidt embeds in d (x) d with d a power of two, so d * d = 2**n
+    n = float((psi.dim_a * psi.dim_b).bit_length() - 1)
+    e = infospace.pure_state_entanglement(psi)
+    curves = [("formation-envelope", build_lower_envelope(formation_endpoints(n, 0.0, e, e)))]
+    if include_extraction:
+        curves.append(("extraction-envelope", pure_extraction_line(n, e)))
+    return curves
+
+
+def _classical_curves(probs, include_extraction: bool) -> list[tuple[str, InformationCurve]]:
+    info = infospace.information_content(infospace.classically_correlated(probs))
+    endpoints = formation_endpoints(info, 0.0, 0.0, 0.0)
+    curves = [("formation-envelope", build_lower_envelope(endpoints))]
+    if include_extraction:
+        zero = ProtocolPoint(0.0, info, PointKind.EXTRACTION_ZERO, "locc-extraction")
+        curves.append(("extraction-envelope", InformationCurve((zero,), ((0.0, info),))))
+    return curves
+
+
+def _raw_curves(path: str, include_extraction: bool) -> list[tuple[str, InformationCurve]]:
+    raise ValueError(
+        "no formation-point rules for raw states; use the entropy or classify commands"
+    )
+
+
+class _Family(NamedTuple):
+    """What the CLI knows of a family: its parameter and how to build from it."""
+
+    flag: str  # the parameter flag; --state also selects raw when no --family is given
+    parse: Callable  # the flag's text (or argparse's float) to the family's value
+    state: Callable  # value -> DensityOperator
+    curves: Callable  # (value, include_extraction) -> named curves, in print order
+
+
+_FAMILIES = {
+    "bell-mixture": _Family("--p", float, lambda p: infospace.bell_mixture(p), _bell_curves),
+    "pure-schmidt": _Family(
+        "--coeffs", _parse_floats, lambda c: infospace.pure_schmidt(c).projector(), _pure_curves
+    ),
+    "classical": _Family(
+        "--probs", _parse_floats, lambda p: infospace.classically_correlated(p), _classical_curves
+    ),
+    "raw": _Family("--state FILE", str, load_state, _raw_curves),
 }
 
 
-def _family_input(args) -> tuple[str, object]:
-    """The selected family and its value: --p, the parsed --coeffs/--probs, or the --state path."""
+def _family_input(args) -> tuple[str, _Family, object]:
+    """The selected family's name, its row and its parsed value."""
     if args.family is None and args.state is None:
         raise ValueError("select an input with --family or --state")
-    family = args.family or "raw"
-    flag = _FAMILY_FLAGS[family]
-    value = getattr(args, flag.split()[0].removeprefix("--"))
+    name = args.family or "raw"
+    family = _FAMILIES[name]
+    value = getattr(args, family.flag.split()[0].removeprefix("--"))
     if value is None:
-        raise ValueError(f"family {family} needs {flag}")
-    return family, _parse_floats(value) if family in ("pure-schmidt", "classical") else value
-
-
-def _resolve_state(family: str, value):
-    """The family's density operator."""
-    from .families import bell_mixture, classically_correlated, pure_schmidt
-    from .serialize import load_state
-
-    if family == "bell-mixture":
-        return bell_mixture(value)
-    if family == "pure-schmidt":
-        return pure_schmidt(value).projector()
-    if family == "classical":
-        return classically_correlated(value)
-    return load_state(value)
+        raise ValueError(f"family {name} needs {family.flag}")
+    return name, family, family.parse(value)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -86,17 +119,13 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_entropy(args) -> int:
-    from .measures import measure_report
-    from .serialize import dump_state
-
     if args.ensemble:
-        from .ensembles import ensemble_average, ensemble_from_dict
-
         with open(args.ensemble, "r", encoding="utf-8") as fh:
-            rho = ensemble_average(ensemble_from_dict(json.load(fh)))
+            rho = infospace.ensemble_average(infospace.ensemble_from_dict(json.load(fh)))
     else:
-        rho = _resolve_state(*_family_input(args))
-    report = measure_report(rho)
+        _, family, value = _family_input(args)
+        rho = family.state(value)
+    report = infospace.measure_report(rho)
     payload = {
         "n": report.n,
         "s_total": fnum(report.s_total),
@@ -112,41 +141,6 @@ def cmd_entropy(args) -> int:
         dump_state(rho, args.dump_state)
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK
-
-
-def _curve_data(
-    family: str, value, include_extraction: bool
-) -> list[tuple[str, InformationCurve]]:
-    """The family's named curves; their points, in this order, are the printed points."""
-    if family == "bell-mixture":
-        # no computable extraction rule for this mixed family
-        return [("formation-envelope", build_lower_envelope(bell_formation_points(value)))]
-    if family == "pure-schmidt":
-        from .families import pure_schmidt
-        from .measures import pure_state_entanglement
-
-        psi = pure_schmidt(value)
-        # pure_schmidt embeds in d (x) d with d a power of two, so d * d = 2**n
-        n = float((psi.dim_a * psi.dim_b).bit_length() - 1)
-        e = pure_state_entanglement(psi)
-        curves = [("formation-envelope", build_lower_envelope(formation_endpoints(n, 0.0, e, e)))]
-        if include_extraction:
-            curves.append(("extraction-envelope", pure_extraction_line(n, e)))
-        return curves
-    if family == "classical":
-        from .families import classically_correlated
-        from .measures import information_content
-
-        info = information_content(classically_correlated(value))
-        endpoints = formation_endpoints(info, 0.0, 0.0, 0.0)
-        curves = [("formation-envelope", build_lower_envelope(endpoints))]
-        if include_extraction:
-            zero = ProtocolPoint(0.0, info, PointKind.EXTRACTION_ZERO, "locc-extraction")
-            curves.append(("extraction-envelope", InformationCurve((zero,), ((0.0, info),))))
-        return curves
-    raise ValueError(
-        "no formation-point rules for raw states; use the entropy or classify commands"
-    )
 
 
 def _oriented(q: float, i: float, formation: bool, paper_axes: bool) -> tuple[float, float]:
@@ -173,8 +167,8 @@ def _curve_svg(points, curves, paper_axes: bool, title: str) -> str:
 
 
 def cmd_curve(args) -> int:
-    family, value = _family_input(args)
-    curves = _curve_data(family, value, args.include_extraction)
+    name, family, value = _family_input(args)
+    curves = family.curves(value, args.include_extraction)
     points = [p for _, curve in curves for p in curve.points]
     if args.format == "json":
         payload = {
@@ -191,7 +185,7 @@ def cmd_curve(args) -> int:
     else:
         _emit(points_csv(points, curves), args.out)
     if args.svg:
-        title = f"information-space curves ({family})"
+        title = f"information-space curves ({name})"
         _emit(_curve_svg(points, curves, args.paper_axes, title), args.svg)
     return EXIT_OK
 
@@ -218,11 +212,9 @@ def cmd_phase_scan(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from .families import classify
-    from .serialize import dump_state
-
-    rho = _resolve_state(*_family_input(args))
-    result = classify(rho)
+    _, family, value = _family_input(args)
+    rho = family.state(value)
+    result = infospace.classify(rho)
     payload = {
         "category": result.category.value,
         "evidence": {
@@ -238,7 +230,7 @@ def cmd_classify(args) -> int:
 
 
 def _add_input_options(sub, ensemble: bool = False) -> None:
-    sub.add_argument("--family", choices=_FAMILY_FLAGS)
+    sub.add_argument("--family", choices=_FAMILIES)
     sub.add_argument("--p", type=float, help="bell-mixture parameter in [0, 1/2]")
     sub.add_argument("--coeffs", help="comma-separated Schmidt coefficients")
     sub.add_argument("--probs", help="comma-separated probabilities")
@@ -310,11 +302,9 @@ def main(argv=None) -> int:
         print(exc, file=sys.stderr)
         return EXIT_INPUT
     except RuntimeError as exc:
-        # only a command that loaded linalg can raise its error, so importing
+        # only a command that loaded linalg can raise its error, so reading
         # it here costs nothing the command did not already pay for
-        from .linalg import EigenConvergenceError
-
-        if not isinstance(exc, EigenConvergenceError):
+        if not isinstance(exc, infospace.EigenConvergenceError):
             raise
         print(exc, file=sys.stderr)
         return EXIT_NUMERIC

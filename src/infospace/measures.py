@@ -57,9 +57,18 @@ def local_entropies(
 
 
 def pure_state_entanglement(psi: PureState, tol: Tolerances = DEFAULT) -> float:
-    """Entropy of entanglement, the reduced-state entropy of either side."""
-    coeffs = schmidt_coefficients(psi)
-    return shannon_entropy(coeffs**2, tol)
+    """Entropy of entanglement, the reduced-state entropy of either side.
+
+    Zero when c_2 <= tol.schmidt, the product rule of ``classify``. Otherwise no
+    term is cut, and log2(1 - r), r = sum_{k>=2} c_k^2, is read through log1p.
+    """
+    c = schmidt_coefficients(psi)
+    if c.size < 2 or c[1] <= tol.schmidt:
+        return 0.0
+    w = c[1:] ** 2 / float(np.dot(c, c))  # PureState admits a norm drift of DEFAULT.trace
+    w = w[w > 0.0]
+    r = float(w.sum())
+    return float(-np.sum(w * np.log2(w))) - (1.0 - r) * math.log1p(-r) / math.log(2.0)
 
 
 def _require_two_qubits(rho: DensityOperator) -> None:

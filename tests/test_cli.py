@@ -19,6 +19,7 @@ from infospace import (
     state_to_dict,
     validate_density,
 )
+from infospace import cli
 from infospace.cli import main
 from helpers import global_aabb, split_decomposition
 
@@ -157,6 +158,13 @@ class TestCurve:
         assert code == 0
         assert "FormationEndpointEc,min-communication,3.4661976e-09,2\n" in out
         assert "EnvelopeVertex,formation-envelope,3.4661976e-09,2\n" in out
+
+    def test_pure_entanglement_keeps_its_digits(self, capsys):
+        # E = 4.794968837e-13 at c2 = 1e-7; a cut of c2^2 at zero_eigenvalue printed 1.44154193e-14
+        code, out, _ = run(["curve", "--family", "pure-schmidt", "--coeffs", "1,1e-7"], capsys)
+        assert code == 0
+        assert "FormationEndpointEc,min-communication,4.79496884e-13,2\n" in out
+        assert "EnvelopeVertex,formation-envelope,4.79496884e-13,2\n" in out
 
     def test_pure_schmidt_extraction_line(self, capsys):
         code, out, _ = run(
@@ -538,7 +546,32 @@ class TestMalformedDocuments:
         assert err.count("\n") == 1
 
 
+# one input per row of cli._FAMILIES; STATE stands for a dumped state file
+FAMILY_SAMPLES = {
+    "bell-mixture": ["--family", "bell-mixture", "--p", "0.25"],
+    "pure-schmidt": ["--family", "pure-schmidt", "--coeffs", "0.6,0.8"],
+    "classical": ["--family", "classical", "--probs", "0.3,0.7"],
+    "raw": ["--family", "raw", "--state", "STATE"],
+}
+
+
 class TestFamilySelection:
+    def test_every_row_has_a_sample(self):
+        assert set(FAMILY_SAMPLES) == set(cli._FAMILIES)
+
+    @pytest.mark.parametrize("command", ["entropy", "classify", "curve"])
+    @pytest.mark.parametrize("family", FAMILY_SAMPLES)
+    def test_every_row_reaches_every_subcommand(self, capsys, tmp_path, command, family):
+        path = str(tmp_path / "s.json")
+        dump_state(bell_mixture(0.25), path)
+        args = [path if a == "STATE" else a for a in FAMILY_SAMPLES[family]]
+        code, out, err = run([command, *args], capsys)
+        if (command, family) == ("curve", "raw"):
+            message = "no formation-point rules for raw states; use the entropy or classify commands"
+            assert (code, out, err) == (1, "", message + "\n")
+        else:
+            assert code == 0 and out and err == ""
+
     @pytest.mark.parametrize("command", ["entropy", "curve", "classify"])
     @pytest.mark.parametrize(
         "args, message",
@@ -637,7 +670,7 @@ class TestCliContract:
         def broken(rho):
             raise KeyError("s_total")
 
-        monkeypatch.setattr("infospace.measures.measure_report", broken)
+        monkeypatch.setattr("infospace.measure_report", broken)
         with pytest.raises(KeyError, match="s_total"):
             main(["entropy", "--family", "bell-mixture", "--p", "0.25"])
 

@@ -84,6 +84,20 @@ class TestImportFootprint:
         if "--svg" in args:
             assert (tmp_path / args[-1]).read_text().startswith("<svg ")
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["curve", "--family", "pure-schmidt", "--coeffs", "0.6,0.8"],
+            ["curve", "--family", "classical", "--probs", "0.3,0.7"],
+        ],
+        ids=" ".join,
+    )
+    def test_numpy_family_curves_load_no_ensembles_or_svgplot(self, args, tmp_path):
+        report = run_child(args, tmp_path)
+        assert report["code"] == 0 and report["stdout"]
+        assert "numpy" in report["modules"]
+        assert not {"infospace.ensembles", "infospace.svgplot"} & report["modules"]
+
     def test_bare_package_import_loads_no_submodule(self, tmp_path):
         code = "import sys, infospace; print(sorted(m for m in sys.modules if 'infospace' in m))"
         proc = subprocess.run(

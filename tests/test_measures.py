@@ -7,6 +7,7 @@ import pytest
 import infospace.measures
 from infospace.measures import _eof_from_concurrence
 from infospace import (
+    DEFAULT,
     DensityOperator,
     PureState,
     bell_mixture,
@@ -17,6 +18,7 @@ from infospace import (
     information_content,
     local_entropies,
     measure_report,
+    pure_schmidt,
     pure_state_entanglement,
     shannon_entropy,
     validate_density,
@@ -311,6 +313,27 @@ class TestRelativeAccuracyAtTheEnds:
                 c_mp = mp.mpf(c)
                 s = c_mp**2 / (2 * (1 + mp.sqrt(1 - c_mp**2)))
                 assert relative_error(_eof_from_concurrence(c), mp_small_entropy(s)) <= 1e-14
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_pure_state_entanglement(self, k):
+        # c2 = 10^-k: a cut of c2^2 at zero_eigenvalue and log2(1 - r) lost these digits
+        for rest in ([10.0**-k], [10.0**-k, 0.3 * 10.0**-k]):
+            psi = pure_schmidt([math.sqrt(1.0 - sum(c * c for c in rest)), *rest])
+            amplitudes = np.diagonal(psi.amplitudes.reshape(psi.dim_a, psi.dim_b))
+            with mp.workdps(60):
+                squares = [mp.mpf(float(a.real)) ** 2 for a in amplitudes if a]
+                p = [x / mp.fsum(squares) for x in squares]
+                exact = -mp.fsum(x * mp.log(x, 2) for x in p)
+                assert relative_error(pure_state_entanglement(psi), exact) <= 1e-14
+
+    def test_pure_state_entanglement_reads_the_product_rule(self):
+        # classify's rule: c2 <= tol.schmidt is a product state, whose E is 0
+        s = DEFAULT.schmidt
+        at, above = (PureState(np.array([math.sqrt(1 - c * c), 0, 0, c]), 2, 2) for c in (s, 2 * s))
+        assert pure_state_entanglement(at) == 0.0
+        with mp.workdps(60):
+            exact = mp_small_entropy(mp.mpf(2 * s) ** 2)
+            assert relative_error(pure_state_entanglement(above), exact) <= 1e-14
 
 
 class TestMeasureReport:
