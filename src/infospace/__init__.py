@@ -46,8 +46,6 @@ _EXPORTS = {
         "NotCertifiedOrthogonal",
         "assumed_exact_values",
         "ensemble_average",
-        "ensemble_from_dict",
-        "ensemble_to_dict",
         "formation_point",
         "formation_surplus_bound",
         "local_orthogonality_check",
@@ -91,7 +89,14 @@ _EXPORTS = {
         "shannon_entropy",
         "von_neumann_entropy",
     ),
-    "serialize": ("dump_state", "load_state", "state_from_dict", "state_to_dict"),
+    "serialize": (
+        "dump_state",
+        "ensemble_from_dict",
+        "ensemble_to_dict",
+        "load_state",
+        "state_from_dict",
+        "state_to_dict",
+    ),
     "tolerances": ("DEFAULT", "Tolerances"),
 }
 

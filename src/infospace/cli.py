@@ -21,7 +21,7 @@ from .curves import (
     phase_scan,
     pure_extraction_line,
 )
-from .serialize import dump_state, fmt, fnum, load_state, points_csv, scan_csv
+from .serialize import _load, dump_state, fmt, fnum, load_state, points_csv, scan_csv
 
 # numpy-backed names are read off the lazy package namespace (infospace.<name>)
 # when a command first calls them, and svgplot is imported inside _curve_svg,
@@ -119,10 +119,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_entropy(args) -> int:
-    if args.ensemble:
-        with open(args.ensemble, "r", encoding="utf-8") as fh:
-            rho = infospace.ensemble_average(infospace.ensemble_from_dict(json.load(fh)))
-    else:
+    if args.ensemble and args.family is None:
+        rho = infospace.ensemble_average(_load(args.ensemble, infospace.ensemble_from_dict))
+    else:  # --ensemble with a --family: that family's flag is missing
         _, family, value = _family_input(args)
         rho = family.state(value)
     report = infospace.measure_report(rho)
@@ -158,11 +157,9 @@ def _curve_svg(points, curves, paper_axes: bool, title: str) -> str:
         series.append(
             (name, [_oriented(q, i, formation, paper_axes) for q, i in curve.envelope])
         )
-    markers = []
-    for p in points:
-        formation = p.kind in FORMATION_KINDS
-        x, y = _oriented(p.q, p.i, formation, paper_axes)
-        markers.append((p.label, x, y))
+    markers = [
+        (p.label, *_oriented(p.q, p.i, p.kind in FORMATION_KINDS, paper_axes)) for p in points
+    ]
     return render_chart(series, markers, RenderSpec(), title)
 
 
@@ -199,7 +196,10 @@ def cmd_phase_scan(args) -> int:
         raise ValueError(f"scan needs at least 2 steps, got {args.steps}")
     step = (args.p_max - args.p_min) / (args.steps - 1)
     grid = [args.p_min + k * step for k in range(args.steps - 1)] + [args.p_max]
-    probe = args.probe if args.probe == "steepest" else float(args.probe)
+    try:
+        probe = args.probe if args.probe == "steepest" else float(args.probe)
+    except ValueError:
+        raise ValueError(f"--probe takes 'steepest' or a number, got {args.probe!r}") from None
     result = phase_scan(
         bell_formation_points, grid, probe=probe, divergence_threshold=args.divergence_threshold
     )
@@ -231,12 +231,14 @@ def cmd_classify(args) -> int:
 
 def _add_input_options(sub, ensemble: bool = False) -> None:
     sub.add_argument("--family", choices=_FAMILIES)
-    sub.add_argument("--p", type=float, help="bell-mixture parameter in [0, 1/2]")
-    sub.add_argument("--coeffs", help="comma-separated Schmidt coefficients")
-    sub.add_argument("--probs", help="comma-separated probabilities")
-    sub.add_argument("--state", help="state JSON file (raw family)")
+    # one input per command: a second one is refused, not ignored
+    inputs = sub.add_mutually_exclusive_group()
+    inputs.add_argument("--p", type=float, help="bell-mixture parameter in [0, 1/2]")
+    inputs.add_argument("--coeffs", help="comma-separated Schmidt coefficients")
+    inputs.add_argument("--probs", help="comma-separated probabilities")
+    inputs.add_argument("--state", help="state JSON file (raw family)")
     if ensemble:
-        sub.add_argument("--ensemble", help="ensemble JSON file; reports on its average")
+        inputs.add_argument("--ensemble", help="ensemble JSON file; reports on its average")
 
 
 def build_parser() -> argparse.ArgumentParser:

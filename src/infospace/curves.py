@@ -208,11 +208,8 @@ def pure_extraction_line(n: float, e: float) -> InformationCurve:
         ProtocolPoint(0.0, n - e, PointKind.EXTRACTION_ZERO, "locc-extraction"),
         ProtocolPoint(e, n - 2.0 * e, PointKind.EXTRACTION_DISTILL, "distillation"),
     )
-    vertices: list[tuple[float, float]] = []
-    for p in pts:
-        if not vertices or vertices[-1] != (p.q, p.i):
-            vertices.append((p.q, p.i))
-    return InformationCurve(pts, tuple(vertices))
+    # at e = 0 the three points coincide: one vertex, the first (-0.0 equals 0.0)
+    return InformationCurve(pts, tuple(dict.fromkeys((p.q, p.i) for p in pts)))
 
 
 class ScanSample(NamedTuple):

@@ -26,9 +26,6 @@ from .linalg import (
     DensityOperator,
     PureState,
     _decided,
-    _document_dims,
-    _document_numbers,
-    _require_dim,
     _stored,
     partial_trace,
     support_projector,
@@ -109,14 +106,11 @@ class LocalOrthogonality:
 
 def ensemble_average(e: Ensemble, tol: Tolerances = DEFAULT) -> DensityOperator:
     """Weighted average of the components, validated as a density operator."""
-    dim_a, dim_b = e.dims
-    total = np.zeros((dim_a * dim_b, dim_a * dim_b), dtype=complex)
-    for w, s in e.components:
-        if isinstance(s, PureState):
-            total += w * np.outer(s.amplitudes, s.amplitudes.conj())
-        else:
-            total += w * s.matrix
-    return validate_density(total, dim_a, dim_b, tol)
+    total = sum(
+        w * (np.outer(s.amplitudes, s.amplitudes.conj()) if isinstance(s, PureState) else s.matrix)
+        for w, s in e.components
+    )
+    return validate_density(total, *e.dims, tol)
 
 
 @_decided
@@ -299,54 +293,3 @@ def assumed_exact_values(rho: DensityOperator, /, tol: Tolerances = DEFAULT) -> 
     return AssumedExactValues(
         surplus=von_neumann_entropy(rho, tol), reversible_cost=min(local_entropies(rho, tol))
     )
-
-
-def ensemble_to_dict(e: Ensemble) -> dict:
-    """JSON-ready form: weights plus pure vectors or mixed matrices."""
-    dim_a, dim_b = e.dims
-    components = []
-    for w, s in e.components:
-        if isinstance(s, PureState):
-            data = [[float(z.real), float(z.imag)] for z in s.amplitudes]
-            components.append({"weight": float(w), "type": "pure", "data": data})
-        else:
-            data = [[[float(z.real), float(z.imag)] for z in row] for row in s.matrix]
-            components.append({"weight": float(w), "type": "mixed", "data": data})
-    return {"dims": [dim_a, dim_b], "components": components}
-
-
-def ensemble_from_dict(d: dict, tol: Tolerances = DEFAULT) -> Ensemble:
-    """Parse the ensemble JSON schema, validating every component."""
-    dim_a, dim_b = _document_dims(d, "ensemble")
-    try:
-        raw = d["components"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed ensemble document: {exc}") from exc
-    # before any component: a pure one costs O(d) in the file but O(d^2) in memory
-    _require_dim(dim_a * dim_b, tol)
-    if not isinstance(raw, list):
-        raise ValueError("malformed ensemble document: components must be a list")
-    components: list[tuple[float, DensityOperator | PureState]] = []
-    for k, entry in enumerate(raw):
-        if not (isinstance(entry, dict) and all(key in entry for key in ("weight", "type", "data"))):
-            raise ValueError(
-                f"malformed ensemble document: component {k} must be an object "
-                "with weight, type and data"
-            )
-        kind = entry["type"]
-        if kind not in ("pure", "mixed"):
-            raise ValueError(f"component type must be 'pure' or 'mixed', got {kind!r}")
-        _document_numbers([entry["weight"], entry["data"]], "ensemble")
-        try:
-            weight = float(entry["weight"])
-            if kind == "pure":
-                values = np.array([complex(re, im) for re, im in entry["data"]])
-            else:
-                values = np.array([[complex(re, im) for re, im in row] for row in entry["data"]])
-        except (TypeError, ValueError) as exc:  # data that is not (re, im) pairs, say
-            raise ValueError(f"malformed ensemble document: component {k}: {exc}") from exc
-        if kind == "pure":
-            components.append((weight, PureState(values, dim_a, dim_b)))
-        else:
-            components.append((weight, validate_density(values, dim_a, dim_b, tol)))
-    return Ensemble(tuple(components))

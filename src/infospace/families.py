@@ -37,9 +37,7 @@ def bell_mixture(p: float, tol: Tolerances = DEFAULT) -> DensityOperator:
 
 def _embedding_dim(k: int) -> int:
     """Power-of-two local dimension for k labels; refused above the cap before any allocation."""
-    d = 2
-    while d < k:
-        d *= 2
+    d = max(2, 1 << (k - 1).bit_length())
     _require_dim(d * d, DEFAULT)
     return d
 
@@ -72,8 +70,7 @@ def pure_schmidt(coeffs) -> PureState:
     c[k] = math.sqrt(max(0.0, 1.0 - rest))
     d = _embedding_dim(c.size)
     amplitudes = np.zeros(d * d, dtype=complex)
-    for k, ck in enumerate(c):
-        amplitudes[k * d + k] = ck
+    amplitudes[np.arange(c.size) * (d + 1)] = c  # |kk> sits at index k d + k
     return PureState(amplitudes, d, d)
 
 
@@ -82,8 +79,8 @@ def classically_correlated(probs) -> DensityOperator:
     p = _clean_weights(probs, "probabilities")
     d = _embedding_dim(p.size)
     m = np.zeros((d * d, d * d), dtype=complex)
-    for k, pk in enumerate(p):
-        m[k * d + k, k * d + k] = pk
+    kk = np.arange(p.size) * (d + 1)  # |kk> sits at index k d + k
+    m[kk, kk] = p
     return validate_density(m, d, d)
 
 
@@ -225,13 +222,12 @@ def _correlated_labels(result: ProductBasisResult, tol: Tolerances) -> bool:
     sum_k p_k |kk><kk| structure up to local relabeling.
     """
     support = [f for val, f in zip(result.values, result.factors) if val > tol.support_cutoff]
-    for i in range(len(support)):
-        for j in range(i + 1, len(support)):
-            if abs(complex(np.vdot(support[i][0], support[j][0]))) > tol.overlap:
-                return False
-            if abs(complex(np.vdot(support[i][1], support[j][1]))) > tol.overlap:
-                return False
-    return True
+    return all(
+        abs(complex(np.vdot(f[side], g[side]))) <= tol.overlap
+        for i, f in enumerate(support)
+        for g in support[i + 1 :]
+        for side in (0, 1)
+    )
 
 
 @_decided

@@ -15,7 +15,6 @@ amplitudes with no d x d projector.
 """
 
 import functools
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,36 +84,6 @@ def _decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 def _require_dim(dim: int, tol: Tolerances) -> None:
     if dim > tol.max_dim:
         raise ValueError(f"dimension {dim} exceeds the configured cap of {tol.max_dim}")
-
-
-def _document_dims(doc, what: str) -> tuple[int, int]:
-    """The dims of a state or ensemble file: two positive ints; 2.9, true and "2" are refused."""
-    try:
-        dims = doc["dims"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed {what} document: {exc}") from exc
-    pair = isinstance(dims, (list, tuple)) and len(dims) == 2
-    if not (pair and all(type(x) is int and x > 0 for x in dims)):
-        raise ValueError(
-            f"malformed {what} document: dims must be two positive integers, got {dims!r}"
-        )
-    return dims[0], dims[1]
-
-
-def _document_numbers(values, what: str) -> None:
-    """Refuse nested lists from a state or ensemble file unless every entry is a finite number.
-
-    The float and complex casts that read the files would take "0.5", true and
-    NaN, and ``np.asarray(..., dtype=float)`` hides a false among floats.
-    """
-    pending = [values]
-    while pending:
-        x = pending.pop()
-        if isinstance(x, list):
-            pending.extend(reversed(x))
-        # type() refuses bools; the comparison is false for NaN, the infinities and huge ints
-        elif type(x) not in (int, float) or not abs(x) <= sys.float_info.max:
-            raise ValueError(f"malformed {what} document: expected a finite number, got {x!r}")
 
 
 def _require_hermitian(residual: float, tol: Tolerances) -> None:

@@ -90,7 +90,8 @@ def concurrence_2q(rho: DensityOperator, tol: Tolerances = DEFAULT) -> float:
     root = v * np.sqrt(np.clip(w, 0.0, None))
     sig = np.linalg.svd(root.T @ _YY @ root, compute_uv=False)  # descending
     c = float(sig[0] - sig[1] - sig[2] - sig[3])
-    return min(1.0, max(0.0, c))
+    # the sigmas carry roundoff of a few ulps of |A|^2, the largest eigenvalue: C within it is 0
+    return min(1.0, c) if c > 64 * math.ulp(w[-1]) else 0.0
 
 
 def _eof_from_concurrence(c: float) -> float:
@@ -123,8 +124,12 @@ class MeasureReport:
 def measure_report(rho: DensityOperator, tol: Tolerances = DEFAULT) -> MeasureReport:
     """Assemble the full scalar report for one state."""
     n = rho.n_qubits
-    s_total = von_neumann_entropy(rho, tol)
-    s_a, s_b = local_entropies(rho, tol)
+    w, v = rho.eigensystem(tol)
+    s_total = shannon_entropy(w, tol)
+    if w.size < 2 or w[-2] <= tol.zero_eigenvalue:  # pure within the cut that zeroes s_total
+        s_a = s_b = pure_state_entanglement(PureState(v[:, -1], rho.dim_a, rho.dim_b), tol)
+    else:
+        s_a, s_b = local_entropies(rho, tol)
     conc = eof = None
     if (rho.dim_a, rho.dim_b) == (2, 2):
         conc = concurrence_2q(rho, tol)

@@ -1,20 +1,22 @@
-"""Flat-file formats: the state JSON, CSV schemas, float rendering.
+"""Flat-file formats: the state and ensemble JSON, CSV schemas, float rendering.
 
-The ensemble JSON is read and written in ``ensembles``. The text formatters
-need only the standard library; the state-file readers import numpy and
-``linalg`` when first called.
+This is the one module that knows the two file formats. The text formatters
+need only the standard library; the document readers and writers import
+numpy, ``linalg`` and ``ensembles`` when first called.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
+import sys
 from typing import TYPE_CHECKING
 
 from .curves import InformationCurve, PhaseScanResult, ProtocolPoint
 from .tolerances import DEFAULT, Tolerances
 
 if TYPE_CHECKING:
+    from .ensembles import Ensemble
     from .linalg import DensityOperator
 
 
@@ -33,6 +35,52 @@ def fnum(x) -> float:
     return float(fmt(x))
 
 
+def _document(doc, what: str, *keys) -> tuple:
+    """dim_a, dim_b, then the values at ``keys``, of a state or ensemble file.
+
+    dims must be two positive ints: 2.9, true and "2" are refused.
+    """
+    try:
+        dims = doc["dims"]
+        pair = isinstance(dims, (list, tuple)) and len(dims) == 2
+        if not (pair and all(type(x) is int and x > 0 for x in dims)):
+            raise ValueError(
+                f"malformed {what} document: dims must be two positive integers, got {dims!r}"
+            )
+        return (*dims, *[doc[key] for key in keys])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {what} document: {exc}") from exc
+
+
+def _document_numbers(values, what: str) -> None:
+    """Refuse nested lists from a state or ensemble file unless every entry is a finite number.
+
+    The float cast that reads the files would take "0.5", true and NaN, and
+    ``np.asarray(..., dtype=float)`` hides a false among floats.
+    """
+    pending = [values]
+    while pending:
+        x = pending.pop()
+        if isinstance(x, list):
+            pending.extend(reversed(x))
+        # type() refuses bools; the comparison is false for NaN, the infinities and huge ints
+        elif type(x) not in (int, float) or not abs(x) <= sys.float_info.max:
+            raise ValueError(f"malformed {what} document: expected a finite number, got {x!r}")
+
+
+def _float_array(values, shape: tuple, where: str):
+    """Nested lists from a document as a float array of ``shape``; ``where`` names the part."""
+    import numpy as np
+
+    try:
+        a = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged lists, say
+        raise ValueError(f"malformed {where}: {exc}") from exc
+    if a.shape != shape:
+        raise ValueError(f"malformed {where}: shape {a.shape} differs from {shape}")
+    return a
+
+
 def state_to_dict(rho: DensityOperator) -> dict:
     """State-file form: dims plus real and imaginary parts, row by row."""
     return {
@@ -44,22 +92,61 @@ def state_to_dict(rho: DensityOperator) -> dict:
 
 def state_from_dict(d: dict, tol: Tolerances = DEFAULT) -> DensityOperator:
     """Parse and fully validate a state-file document."""
+    from .linalg import _require_dim, validate_density
+
+    dim_a, dim_b, *parts = _document(d, "state", "matrix_re", "matrix_im")
+    dim = dim_a * dim_b
+    _require_dim(dim, tol)  # before the arrays: a document past the cap builds no matrix
+    re, im = (_float_array(x, (dim, dim), "state document") for x in parts)
+    _document_numbers(parts, "state")
+    return validate_density(re + 1j * im, dim_a, dim_b, tol)
+
+
+def ensemble_to_dict(e: Ensemble) -> dict:
+    """Ensemble-file form: weights plus pure vectors or mixed matrices, as [re, im] pairs."""
     import numpy as np
 
-    from .linalg import _document_dims, _document_numbers, _require_dim, validate_density
+    from .linalg import PureState
 
-    dim_a, dim_b = _document_dims(d, "state")
-    # before the arrays, as in ensemble_from_dict: a document past the cap builds no matrix
-    _require_dim(dim_a * dim_b, tol)
-    try:
-        re = np.asarray(d["matrix_re"], dtype=float)
-        im = np.asarray(d["matrix_im"], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"malformed state document: {exc}") from exc
-    _document_numbers([d["matrix_re"], d["matrix_im"]], "state")
-    if re.shape != im.shape:
-        raise ValueError(f"matrix_re shape {re.shape} differs from matrix_im shape {im.shape}")
-    return validate_density(re + 1j * im, dim_a, dim_b, tol)
+    components = []
+    for w, s in e.components:
+        kind, values = ("pure", s.amplitudes) if isinstance(s, PureState) else ("mixed", s.matrix)
+        data = np.stack([values.real, values.imag], axis=-1).tolist()
+        components.append({"weight": float(w), "type": kind, "data": data})
+    return {"dims": list(e.dims), "components": components}
+
+
+def ensemble_from_dict(d: dict, tol: Tolerances = DEFAULT) -> Ensemble:
+    """Parse an ensemble-file document, validating every component."""
+    from .ensembles import Ensemble
+    from .linalg import PureState, _require_dim, validate_density
+
+    dim_a, dim_b, raw = _document(d, "ensemble", "components")
+    dim = dim_a * dim_b
+    # before any component: a pure one costs O(d) in the file but O(d^2) in memory
+    _require_dim(dim, tol)
+    if not isinstance(raw, list):
+        raise ValueError("malformed ensemble document: components must be a list")
+    components = []
+    for k, entry in enumerate(raw):
+        if not (isinstance(entry, dict) and all(key in entry for key in ("weight", "type", "data"))):
+            raise ValueError(
+                f"malformed ensemble document: component {k} must be an object "
+                "with weight, type and data"
+            )
+        kind = entry["type"]
+        if kind not in ("pure", "mixed"):
+            raise ValueError(f"component type must be 'pure' or 'mixed', got {kind!r}")
+        _document_numbers([entry["weight"], entry["data"]], "ensemble")
+        where = f"ensemble document: component {k}"
+        weight = float(_float_array(entry["weight"], (), where))
+        pairs = _float_array(entry["data"], (dim, 2) if kind == "pure" else (dim, dim, 2), where)
+        values = pairs.view(complex)[..., 0]  # each [re, im] pair as one complex number
+        if kind == "pure":
+            components.append((weight, PureState(values, dim_a, dim_b)))
+        else:
+            components.append((weight, validate_density(values, dim_a, dim_b, tol)))
+    return Ensemble(tuple(components))
 
 
 def dump_state(rho: DensityOperator, path: str) -> None:
@@ -68,9 +155,14 @@ def dump_state(rho: DensityOperator, path: str) -> None:
         fh.write("\n")
 
 
-def load_state(path: str, tol: Tolerances = DEFAULT) -> DensityOperator:
+def _load(path: str, from_dict, tol: Tolerances = DEFAULT):
+    """Read a state or ensemble file through ``state_from_dict`` or ``ensemble_from_dict``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return state_from_dict(json.load(fh), tol)
+        return from_dict(json.load(fh), tol)
+
+
+def load_state(path: str, tol: Tolerances = DEFAULT) -> DensityOperator:
+    return _load(path, state_from_dict, tol)
 
 
 def points_csv(

@@ -33,19 +33,14 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
         if raw <= mult * mag:
             step = mult * mag
             break
-    first = math.ceil(lo / step) * step
     ticks = []
-    t = first
+    t = math.ceil(lo / step) * step
     while t <= hi + step * 1e-9:
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
         if t + step == t:  # a step below the float spacing at t would never advance
             break
         t += step
     return ticks
-
-
-def _tick_label(t: float) -> str:
-    return f"{t:.6g}"
 
 
 def render_chart(
@@ -81,32 +76,27 @@ def render_chart(
         f'font-family="sans-serif" font-size="14">{escape(title)}</text>',
     ]
     axis_style = 'stroke="#333333" stroke-width="1"'
+    zero_style = 'stroke="#bbbbbb" stroke-width="1" stroke-dasharray="4 3"'
     out.append(f'<line x1="{m}" y1="{h - m}" x2="{w - m}" y2="{h - m}" {axis_style}/>')
     out.append(f'<line x1="{m}" y1="{m}" x2="{m}" y2="{h - m}" {axis_style}/>')
     # zero lines when the origin is inside the frame
     if lo_x < 0.0 < hi_x:
-        out.append(
-            f'<line x1="{px(0):.2f}" y1="{m}" x2="{px(0):.2f}" y2="{h - m}" '
-            'stroke="#bbbbbb" stroke-width="1" stroke-dasharray="4 3"/>'
-        )
+        out.append(f'<line x1="{px(0):.2f}" y1="{m}" x2="{px(0):.2f}" y2="{h - m}" {zero_style}/>')
     if lo_y < 0.0 < hi_y:
-        out.append(
-            f'<line x1="{m}" y1="{py(0):.2f}" x2="{w - m}" y2="{py(0):.2f}" '
-            'stroke="#bbbbbb" stroke-width="1" stroke-dasharray="4 3"/>'
-        )
+        out.append(f'<line x1="{m}" y1="{py(0):.2f}" x2="{w - m}" y2="{py(0):.2f}" {zero_style}/>')
     for t in _nice_ticks(lo_x, hi_x):
         out.append(
             f'<line x1="{px(t):.2f}" y1="{h - m}" x2="{px(t):.2f}" y2="{h - m + 5}" {axis_style}/>'
         )
         out.append(
             f'<text x="{px(t):.2f}" y="{h - m + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_tick_label(t)}</text>'
+            f'font-family="sans-serif" font-size="11">{t:.6g}</text>'
         )
     for t in _nice_ticks(lo_y, hi_y):
         out.append(f'<line x1="{m - 5}" y1="{py(t):.2f}" x2="{m}" y2="{py(t):.2f}" {axis_style}/>')
         out.append(
             f'<text x="{m - 8}" y="{py(t):.2f}" text-anchor="end" dominant-baseline="middle" '
-            f'font-family="sans-serif" font-size="11">{_tick_label(t)}</text>'
+            f'font-family="sans-serif" font-size="11">{t:.6g}</text>'
         )
     out.append(
         f'<text x="{w / 2:.1f}" y="{h - 12}" text-anchor="middle" '

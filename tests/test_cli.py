@@ -76,6 +76,19 @@ class TestEntropy:
         assert code == 0
         assert json.loads(out)["info"] == 1.0
 
+    def test_classical_concurrence_reads_zero(self, capsys):
+        # C = 0 for this state; its roundoff, 5.6e-17, must not reach the report
+        code, out, _ = run(["entropy", "--family", "classical", "--probs", "0.3,0.7"], capsys)
+        assert code == 0
+        assert '"concurrence": 0.0,' in out and '"eof": 0.0,' in out
+
+    def test_pure_local_entropies_keep_their_digits(self, capsys):
+        # E = 4.794968837e-13 at c2 = 1e-7, where the reduced spectra cut c2^2 at zero_eigenvalue
+        code, out, _ = run(["entropy", "--family", "pure-schmidt", "--coeffs", "1,1e-7"], capsys)
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["s_a"] == doc["s_b"] == doc["eof"] == 4.79496884e-13
+
     def test_pure_schmidt_family(self, capsys):
         code, out, _ = run(
             ["entropy", "--family", "pure-schmidt", "--coeffs", "0.70710678,0.70710678"], capsys
@@ -285,6 +298,12 @@ class TestPhaseScan:
             ["phase-scan", "--p-min", "0.1", "--p-max", "0.2", "--steps", "1"], capsys
         )
         assert code == 1
+
+    @pytest.mark.parametrize("probe", ["abc", ""])
+    def test_unreadable_probe_names_the_flag(self, capsys, probe):
+        args = ["phase-scan", "--p-min", "0.2", "--p-max", "0.3", "--steps", "3", "--probe", probe]
+        message = f"--probe takes 'steepest' or a number, got {probe!r}\n"
+        assert run(args, capsys) == (1, "", message)
 
     def test_fixed_q_probe(self, capsys):
         code, out, _ = run(
@@ -586,6 +605,40 @@ class TestFamilySelection:
     )
     def test_missing_parameter_exits_one(self, capsys, command, args, message):
         assert run([command, *args], capsys) == (1, "", message + "\n")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["entropy", "--family", "pure-schmidt", "--coeffs", "0.6,0.8", "--state", "STATE"],
+            ["curve", "--family", "bell-mixture", "--p", "0.2", "--coeffs", "1,0"],
+            ["classify", "--state", "STATE", "--probs", "0.5,0.5"],
+            ["entropy", "--ensemble", "ENSEMBLE", "--state", "STATE"],
+            ["entropy", "--ensemble", "ENSEMBLE", "--family", "bell-mixture", "--p", "0.2"],
+            ["entropy", "--ensemble", "ENSEMBLE", "--family", "bell-mixture"],
+            ["entropy", "--ensemble", "ENSEMBLE", "--family", "raw"],
+        ],
+        ids=[
+            "coeffs-state", "p-coeffs", "state-probs", "ensemble-state", "ensemble-p",
+            "ensemble-family", "ensemble-raw",
+        ],
+    )
+    def test_conflicting_inputs_exit_one(self, capsys, tmp_path, args):
+        # a second input is refused, not ignored
+        state = str(tmp_path / "s.json")
+        dump_state(bell_mixture(0.25), state)
+        ensemble = _write(tmp_path, "e.json", ensemble_to_dict(split_decomposition(0.25)))
+        argv = [{"STATE": state, "ENSEMBLE": ensemble}.get(a, a) for a in args]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses two flags of one group
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "") and err.count("\n") == 1
+
+    def test_negative_coefficient_in_the_equals_form(self, capsys):
+        # argparse reads "--coeffs -1,1" as an option; "--coeffs=-1,1" reaches pure_schmidt
+        args = ["entropy", "--family", "pure-schmidt", "--coeffs=-1,1"]
+        assert run(args, capsys) == (1, "", "Schmidt coefficients must be nonnegative, got -1.0\n")
 
     @pytest.mark.parametrize("command", ["entropy", "curve", "classify"])
     def test_unknown_family_exits_one(self, capsys, command):

@@ -183,6 +183,10 @@ class TestLazyNamespace:
         ):
             assert not hasattr(infospace, name) and name not in infospace.__all__
             assert not hasattr(importlib.import_module(f"infospace.{module}"), name)
+        # the file formats live in serialize: these resolve there and from the package
+        for name in ("ensemble_from_dict", "ensemble_to_dict"):
+            assert not hasattr(importlib.import_module("infospace.ensembles"), name)
+            assert getattr(infospace, name) is getattr(infospace.serialize, name)
         assert "CHORD" not in infospace.PointKind.__members__
         assert not hasattr(infospace.ProductBasisResult, "basis")
         assert infospace.cli is sys.modules["infospace.cli"] and "cli" in infospace.__all__

@@ -30,8 +30,10 @@ from helpers import (
     mp_bell_ec,
     mp_small_entropy,
     random_density_matrix,
+    random_local_unitary,
     random_state_vector,
     random_unitary,
+    rotated_spectrum,
 )
 
 # frozen against the 40-digit oracle below
@@ -242,6 +244,26 @@ class TestConcurrence:
         with pytest.raises(ValueError, match="two-qubit"):
             concurrence_2q(DensityOperator(np.eye(6) / 6, 2, 3))
 
+    def test_rotated_classical_state_reads_zero(self):
+        # C = sigma_0 - sigma_1 - sigma_2 - sigma_3 is exactly 0 here; roundoff leaves up to 7e-16
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            rho = validate_density(rotated_spectrum(random_local_unitary(rng), [0.3, 0, 0, 0.7]), 2, 2)
+            assert concurrence_2q(rho) == 0.0 and eof_2q(rho) == 0.0
+
+    def test_rotated_product_pure_state_reads_zero(self):
+        # every sigma is roundoff here, so sigma_0 is no scale for it; the largest eigenvalue is
+        rng = np.random.default_rng(67)
+        for _ in range(200):
+            v = np.kron(random_state_vector(rng, 2), random_state_vector(rng, 2))
+            assert concurrence_2q(validate_density(np.outer(v, v.conj()), 2, 2)) == 0.0
+
+    @pytest.mark.parametrize("d", [1e-3, 1e-6, 1e-9, 1e-12, 1e-13])
+    def test_small_concurrence_near_half_survives(self, d):
+        p = 0.5 - d
+        c = concurrence_2q(bell_mixture(p))
+        assert c > 0.0 and abs(c - (1.0 - 2.0 * p)) <= 1e-15
+
 
 class TestEof:
     def test_separable(self):
@@ -367,6 +389,33 @@ class TestMeasureReport:
         rep = measure_report(bell_mixture(0.25))
         assert len(calls) == 1
         assert rep.eof == pytest.approx(EC_QUARTER, abs=1e-9)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_pure_local_entropies_keep_small_schmidt_terms(self, k):
+        # c2 = 10^-k: the reduced spectra cut c2^2 at zero_eigenvalue; the top eigenvector
+        # keeps the small terms
+        c2 = 10.0**-k
+        psi = pure_schmidt([math.sqrt(1.0 - c2 * c2), c2])
+        with mp.workdps(60):
+            exact = mp_small_entropy(mp.mpf(float(psi.amplitudes[3].real)) ** 2)
+            rep = measure_report(psi.projector())
+            assert rep.s_a == rep.s_b and relative_error(rep.s_a, exact) <= 1e-14
+            # under local unitaries the eigenvector carries roundoff eps: c2 is off by eps / c2
+            rng = np.random.default_rng(k)
+            for _ in range(10):
+                u = random_local_unitary(rng)
+                rotated = validate_density(u @ psi.projector().matrix @ u.conj().T, 2, 2)
+                assert relative_error(measure_report(rotated).s_a, exact) <= 1e-14 / c2
+
+    def test_pure_report_builds_no_reduced_state(self):
+        rho = pure_schmidt([0.6, 0.8]).projector()
+        rep = measure_report(rho)
+        assert "_reduced_a" not in vars(rho) and "_reduced_b" not in vars(rho)
+        assert rep.s_a == pytest.approx(binary_entropy(0.36), abs=1e-15)
+
+    def test_one_by_one_state(self):
+        rep = measure_report(validate_density(np.eye(1), 1, 1))
+        assert (rep.n, rep.s_total, rep.s_a, rep.s_b) == (0, 0.0, 0.0, 0.0)
 
     def test_larger_dims_skip_two_qubit_fields(self):
         rho = DensityOperator(np.eye(8) / 8, 2, 4)

@@ -1,10 +1,21 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from infospace import bell_mixture, load_state, state_from_dict, state_to_dict
+import infospace
+from infospace import (
+    Ensemble,
+    PureState,
+    bell_mixture,
+    ensemble_from_dict,
+    ensemble_to_dict,
+    load_state,
+    state_from_dict,
+    state_to_dict,
+)
 from infospace.curves import PointKind, ProtocolPoint, build_lower_envelope
 from infospace.serialize import dump_state, fmt, fnum, points_csv
 
@@ -110,6 +121,49 @@ class TestStateFile:
             tracemalloc.stop()
         # a 256 x 256 float array alone is 512 KiB
         assert peak < 200_000
+
+
+class TestEnsembleFile:
+    def test_pairs_hold_the_exact_parts(self):
+        rng = np.random.default_rng(83)
+        amplitudes = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi = PureState(amplitudes / np.linalg.norm(amplitudes), 2, 2)
+        rho = bell_mixture(0.3)
+        doc = ensemble_to_dict(Ensemble(((0.25, psi), (0.75, rho))))
+        pure, mixed = doc["components"]
+        assert doc["dims"] == [2, 2]
+        assert pure["data"] == [[z.real, z.imag] for z in psi.amplitudes]
+        assert mixed["data"] == [[[z.real, z.imag] for z in row] for row in rho.matrix]
+        back = ensemble_from_dict(doc)
+        assert np.array_equal(back.components[0][1].amplitudes, psi.amplitudes)
+        assert np.array_equal(back.components[1][1].matrix, rho.matrix)
+
+    @pytest.mark.parametrize(
+        "component, shapes",
+        [
+            ({"type": "pure", "data": [[1, 0], [0, 0]]}, "(2, 2) differs from (4, 2)"),
+            ({"type": "pure", "data": [1, 0, 0, 0]}, "(4,) differs from (4, 2)"),
+            ({"type": "mixed", "data": [[[1, 0]] * 4] * 3}, "(3, 4, 2) differs from (4, 4, 2)"),
+            # a list of numbers passes the number check; it is no weight
+            ({"weight": [1], "type": "pure", "data": [[1, 0]] + [[0, 0]] * 3}, "(1,) differs from ()"),
+        ],
+        ids=["short", "bare-numbers", "short-rows", "weight-list"],
+    )
+    def test_parts_of_the_wrong_shape(self, component, shapes):
+        doc = {"dims": [2, 2], "components": [{"weight": 1, **component}]}
+        with pytest.raises(ValueError) as exc:
+            ensemble_from_dict(doc)
+        assert str(exc.value) == f"malformed ensemble document: component 0: shape {shapes}"
+
+    def test_only_serialize_names_the_document_keys(self):
+        home = os.path.dirname(infospace.__file__)
+        for name in sorted(os.listdir(home)):
+            if name.endswith(".py") and name != "serialize.py":
+                with open(os.path.join(home, name), encoding="utf-8") as fh:
+                    text = fh.read()
+                # as a subscript or a literal's key; Ensemble's field is named components too
+                for key in ("dims", "matrix_re", "matrix_im", "components"):
+                    assert f'["{key}"]' not in text and f'"{key}":' not in text, (name, key)
 
 
 class TestCsv:

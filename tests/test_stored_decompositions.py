@@ -217,8 +217,10 @@ class TestDecompositionCounts:
         classify(rho)
         concurrence_2q(rho)
         eof_2q(rho)
-        # rho and its partial transpose, then the two reduced states
-        assert sorted(shapes) == [(2, 2), (2, 2), (4, 4), (4, 4)]
+        # rho and its partial transpose, then the two reduced states; a pure state's
+        # local entropies come from its eigenvector, so it decomposes no reduced state
+        want = [(4, 4), (4, 4)] if name == "pure" else [(2, 2), (2, 2), (4, 4), (4, 4)]
+        assert sorted(shapes) == want
 
     def test_verdict_and_closed_form_pass(self, monkeypatch):
         m = global_aabb(np.random.default_rng(5), 0.15)
